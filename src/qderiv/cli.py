@@ -29,6 +29,7 @@ from .qcore import Quasigroup, QuasigroupError, from_table
 from .survey import (
     CaseId,
     Certificate,
+    case_proof,
     convention_agreement_table,
     diff_against_paper,
     embedded_paper_table,
@@ -148,7 +149,11 @@ def cmd_certify(args) -> int:
     conv = reportio.parse_convention(args.convention)
     cert = minimal_counterexample(case, conv, max_order=args.max_order, jobs=args.jobs)
     if cert is None:
-        print(f"no counterexample for {case.token} up to order {args.max_order}")
+        proof = case_proof(case, conv)
+        if proof is None:
+            print(f"no counterexample for {case.token} up to order {args.max_order}")
+        else:
+            print(f"no counterexample for {case.token} at any order: proved ({proof})")
         return EXIT_OK
     doc = reportio.certificate_to_doc(cert)
     print(json.dumps(doc, separators=(",", ":")))

@@ -100,6 +100,17 @@ class CorpusDescriptor:
             return (self.order,)
         return tuple(range(3, self.order + 1))
 
+    def check_refutable(self) -> None:
+        """Raise ValueError unless the corpus holds a square of order 3 or more.
+
+        Refutation search, like the exhaustive corpora, starts at order 3,
+        so a survey over anything less would report verdicts from nothing.
+        """
+        if self.mode == "random" and self.count < 1:
+            raise ValueError(f"corpus {self.token} holds no squares")
+        if not any(n >= 3 for n in self.orders()):
+            raise ValueError(f"corpus {self.token} holds no squares of order 3 or more")
+
     def __str__(self) -> str:
         return self.token
 
@@ -216,15 +227,23 @@ def iter_corpus_rows(
 
     Stream indices restart at 0 for each order.  This is the raw-row
     iterator used by the survey engine; enumerate_all/enumerate_reduced are
-    the validated public streams.
+    the validated public streams.  The exhaustive bound is checked here, at
+    the call, not at the first pull: a caller that pulls nothing still
+    learns that the corpus is out of bounds.
     """
     bound = exhaustive_bound() if bound is None else bound
+    if desc.mode != "random" and desc.order > bound:
+        raise OrderTooLargeError(desc.order, bound)
+    return _corpus_rows(desc)
+
+
+def _corpus_rows(
+    desc: CorpusDescriptor,
+) -> Iterator[tuple[int, int, tuple[tuple[int, ...], ...]]]:
     if desc.mode == "random":
         for i in range(desc.count):
             yield desc.order, i, random_rows(desc.order, desc.seed + i)
         return
-    if desc.order > bound:
-        raise OrderTooLargeError(desc.order, bound)
     reduced = desc.mode == "reduced"
     for order in desc.orders():
         for i, rows in enumerate(_iter_latin_rows(order, reduced=reduced)):

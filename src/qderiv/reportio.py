@@ -261,10 +261,22 @@ def survey_to_json(result: SurveyResult) -> str:
 
 
 def survey_from_json(text: str) -> SurveyResult:
+    """Parse a survey document; any malformed document raises ParseError."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"survey document: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ParseError(f"survey document: expected an object, got {type(doc).__name__}")
+    try:
+        return _survey_from_doc(doc)
+    except KeyError as exc:
+        raise ParseError(f"survey document: missing field {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ParseError(f"survey document: malformed ({exc})") from None
+
+
+def _survey_from_doc(doc: dict) -> SurveyResult:
     fmt = doc.get("format", "")
     prefix, sep, version = fmt.partition("/")
     if prefix != "qderiv-survey" or not sep:

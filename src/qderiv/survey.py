@@ -11,8 +11,15 @@ sigma-parastrophe,
 and rows/columns/middle translations of B are one of the three translation
 families of the base square.  Every case therefore compiles to a single
 probe (compose two of the seven translations at a, test membership in one
-family); the scan evaluates active probes per (square, a) and keeps the
-first failure in (order, stream index, a) order.
+family).
+
+Six probes are a family's generator composed with the identity; they hold
+in every quasigroup (L_a is row a, R_a is column a, P_a is middle
+translation a), so they are settled by that proof and never scanned.  The
+scan evaluates the remaining, refutable probes per (square, a), keeps the
+first failure in (order, stream index, a) order, and stops once every one
+of them has failed.  A case without a counterexample is thus either proved
+or bounded evidence over the corpus scanned.
 
 Certificates are built from the full derivative construction, independent
 of the probe shortcut, so an unsound probe would surface as an impossible
@@ -195,6 +202,33 @@ def case_probe(case: CaseId, conv: Convention) -> Probe:
 
 
 # ---------------------------------------------------------------------------
+# Tautologies: the translation at a that generates a family, composed with
+# the identity, is that family's member a in every quasigroup.
+
+_GENERATOR = (1, 3, 5)  # L, R, P: indexed by family
+_PROOF = ("L_a is row a", "R_a is column a", "P_a is middle translation a")
+
+
+def tautology_proof(probe: Probe) -> str | None:
+    """A one-line proof that the probe holds at every a of every quasigroup.
+
+    None when the probe is not one of the six tautologies
+    (E,L,rows) (L,E,rows) (E,R,cols) (R,E,cols) (E,P,mids) (P,E,mids);
+    every other probe a case compiles to, under any convention, fails
+    somewhere in exhaustive:4.
+    """
+    i, j, fam = probe
+    if {i, j} == {0, _GENERATOR[fam]}:
+        return _PROOF[fam]
+    return None
+
+
+def case_proof(case: CaseId, conv: Convention) -> str | None:
+    """The proof that the case has its unit in every derivative, or None."""
+    return tautology_proof(case_probe(case, conv))
+
+
+# ---------------------------------------------------------------------------
 # The scan.  Permutations are bytes; composition is bytes.translate.
 
 _PAD256 = bytes(range(256))
@@ -258,11 +292,24 @@ def _group_probes(
 def _scan_batch(
     batch: Sequence[tuple[int, int, Rows]], probes: tuple[Probe, ...]
 ) -> list[tuple[int, list[tuple[Probe, int]]]]:
-    """Worker: kills per square of a batch.  Positions index into the batch."""
-    groups = _group_probes(probes)
-    return [
-        (pos, _scan_square(rows, groups)) for pos, (_, _, rows) in enumerate(batch)
-    ]
+    """Worker: kills per square of a batch, up to the square the last probe dies on.
+
+    Positions index into the batch; squares without kills are left out.  A
+    probe that dies is dropped from the later squares of the batch.
+    """
+    live = set(probes)
+    groups = _group_probes(live)
+    out = []
+    for pos, (_, _, rows) in enumerate(batch):
+        kills = _scan_square(rows, groups)
+        if not kills:
+            continue
+        out.append((pos, kills))
+        live.difference_update(probe for probe, _ in kills)
+        if not live:
+            break
+        groups = _group_probes(live)
+    return out
 
 
 Kill = tuple[int, int, int, Rows]  # (order, stream index, a, rows)
@@ -276,44 +323,47 @@ def probe_scan(
 ) -> dict[Probe, Kill | None]:
     """Minimal counterexample per probe over a corpus, or None.
 
+    The corpus is checked first, whatever the probes: it must hold a square
+    of order 3 or more, and an exhaustive order within the bound.  The
+    tautological probes (tautology_proof) are then settled as None without
+    a square being pulled, and the rest are scanned until each has failed
+    or the corpus is exhausted; no batch is pulled once none is left.
+
     Deterministic for fixed inputs regardless of jobs: kills are reduced in
     (order, stream index, a) order, workers only partition the stream.
     """
-    results: dict[Probe, Kill | None] = {p: None for p in probes}
-    unsettled = set(results)
-    if not unsettled:
-        return results
-
+    desc.check_refutable()
     stream = iter_corpus_rows(desc, bound)
+    results: dict[Probe, Kill | None] = {p: None for p in probes}
+    unsettled = {p for p in results if tautology_proof(p) is None}
 
-    def batches() -> Iterator[list[tuple[int, int, Rows]]]:
-        while True:
-            chunk = list(itertools.islice(stream, _BATCH))
-            if not chunk:
+    batches = iter(lambda: list(itertools.islice(stream, _BATCH)), [])
+
+    def waves(size: int) -> Iterator[list[list[tuple[int, int, Rows]]]]:
+        """Up to ``size`` batches at a time, pulled only while a probe is unsettled."""
+        while unsettled:
+            wave = list(itertools.islice(batches, size))
+            if not wave:
                 return
-            yield chunk
+            yield wave
 
     def apply(batch: Sequence[tuple[int, int, Rows]], scanned) -> None:
         for pos, kills in scanned:
             order, idx, rows = batch[pos]
             for probe, a in kills:
-                if results.get(probe, False) is None:
+                if probe in unsettled:
                     results[probe] = (order, idx, a, rows)
                     unsettled.discard(probe)
 
     if jobs <= 1:
-        for batch in batches():
-            if not unsettled:
-                break
+        for (batch,) in waves(1):
             apply(batch, _scan_batch(batch, tuple(sorted(unsettled))))
+        return results
+    if not unsettled:
         return results
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        batch_iter = batches()
-        while unsettled:
-            wave = list(itertools.islice(batch_iter, jobs))
-            if not wave:
-                break
+        for wave in waves(jobs):
             snapshot = tuple(sorted(unsettled))
             futures = [pool.submit(_scan_batch, b, snapshot) for b in wave]
             for batch, fut in zip(wave, futures):
@@ -476,8 +526,10 @@ class SignTable:
 def compute_table(survey: SurveyResult) -> SignTable:
     """Minus where a counterexample was found, plus otherwise.
 
-    A plus is bounded evidence (no counterexample up to the corpus bound),
-    not proof.
+    A plus on one of the six tautological probes is proved (case_proof);
+    any other plus is bounded evidence (no counterexample in the corpus).
+    Every refutable probe fails in exhaustive:4, so on exhaustive:N for
+    N >= 4 every plus is proved.
     """
     return SignTable(
         {

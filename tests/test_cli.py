@@ -80,6 +80,41 @@ def test_certify_exit_codes(capsys):
     assert "no counterexample" in capsys.readouterr().out
 
 
+def test_certify_tautological_case_says_proved(capsys):
+    assert run(["certify", "--case", "e:L,E,L/f", "--max-order", "3"]) == 0
+    out = capsys.readouterr().out
+    assert out == "no counterexample for e:L,E,L/f at any order: proved (L_a is row a)\n"
+
+
+def test_certify_keeps_the_order_bound_for_tautological_cases(capsys, monkeypatch):
+    monkeypatch.delenv("QD_MAX_ORDER", raising=False)
+    assert run(["certify", "--case", "e:L,E,L/f", "--max-order", "6"]) == 1
+    captured = capsys.readouterr()
+    assert "error: exhaustive enumeration of order 6 exceeds the bound 5" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["survey", "--corpus", "random:5:seed=0:count=0"],
+        ["survey", "--corpus", "random:2:seed=0:count=3"],
+        ["certify", "--case", "e:L,L,E/f", "--max-order", "2"],
+    ],
+)
+def test_vacuous_corpora_are_errors(capsys, argv):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
+def test_diff_paper_malformed_survey_is_an_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[]")
+    assert run(["diff-paper", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_certify_bad_case_token(capsys):
     assert run(["certify", "--case", "nonsense"]) == 1
     assert "error" in capsys.readouterr().err

@@ -115,3 +115,16 @@ def test_iter_corpus_rows_random_mode_is_seed_indexed():
     rows = [r for _, _, r in iter_corpus_rows(desc)]
     assert rows[0] == random_square(5, 9).mul_table
     assert rows[3] == random_square(5, 12).mul_table
+
+
+def test_iter_corpus_rows_checks_the_bound_at_the_call():
+    with pytest.raises(OrderTooLargeError):
+        iter_corpus_rows(CorpusDescriptor.parse("exhaustive:6"), bound=5)  # nothing pulled
+
+
+def test_check_refutable():
+    for token in ("exhaustive:3", "reduced:4", "random:3:seed=0:count=1"):
+        CorpusDescriptor.parse(token).check_refutable()
+    for token in ("exhaustive:2", "reduced:1", "random:2:seed=0:count=4", "random:5:seed=0:count=0"):
+        with pytest.raises(ValueError):
+            CorpusDescriptor.parse(token).check_refutable()

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from conftest import Z3_ROWS, small_corpus
@@ -137,6 +139,25 @@ def test_survey_json_rejects_unknown_major():
         survey_from_json('{"format":"something-else/1.0","cases":[]}')
     with pytest.raises(ParseError):
         survey_from_json("not json")
+
+
+def test_survey_json_malformed_documents_raise_parse_error():
+    doc = json.loads(survey_to_json(run_survey(EX3, CONVENTION_A)))
+    entry = doc["cases"][0]
+    malformed = [
+        [],
+        None,
+        {k: v for k, v in doc.items() if k != "cases"},
+        {**doc, "format": 1},
+        {**doc, "corpus": "nowhere:3"},
+        {**doc, "cases": [1]},
+        {**doc, "cases": [{k: v for k, v in entry.items() if k != "spec"}]},
+        {**doc, "cases": [{**entry, "unit": "x"}]},
+        {**doc, "cases": [{**entry, "status": "counterexample"}]},
+    ]
+    for bad in malformed:
+        with pytest.raises(ParseError):
+            survey_from_json(json.dumps(bad))
 
 
 def test_emit_table_markdown_layout():

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 
 import pytest
 
 from conftest import Z3_ROWS
-from qderiv.corpus import CorpusDescriptor, enumerate_all, random_square
+from qderiv.corpus import CorpusDescriptor, OrderTooLargeError, enumerate_all, random_square
 from qderiv.derivative import (
     CONVENTION_A,
     Convention,
@@ -14,6 +15,7 @@ from qderiv.derivative import (
     enumerate_specs,
 )
 from qderiv.qcore import from_table, translation_images, TranslationKind
+from qderiv import survey
 from qderiv.survey import (
     CaseId,
     Certificate,
@@ -25,6 +27,7 @@ from qderiv.survey import (
     all_cases,
     build_certificate,
     case_probe,
+    case_proof,
     compute_table,
     convention_agreement_table,
     diff_against_paper,
@@ -33,6 +36,7 @@ from qderiv.survey import (
     probe_scan,
     run_survey,
     run_survey_multi,
+    tautology_proof,
     verify_certificate,
 )
 from qderiv.units import UnitKind, find_unit
@@ -276,3 +280,91 @@ def test_convention_agreement_table_has_eight_rows():
     counts = convention_agreement_table(EX3, embedded_paper_table())
     assert len(counts) == 8
     assert all(a + d + u == 1944 for a, d, u in counts.values())
+
+
+def test_scan_kills_every_refutable_probe_at_order_four(monkeypatch):
+    # with the classifier bypassed, the scan alone must leave exactly the six
+    # probes the classifier calls tautological
+    probes = {case_probe(c, conv) for conv in all_conventions() for c in all_cases()}
+    tautologies = {p for p in probes if tautology_proof(p) is not None}
+    monkeypatch.setattr(survey, "tautology_proof", lambda probe: None)
+    kills = probe_scan(EX4, probes)
+    assert len(probes) == 144
+    assert {p for p, kill in kills.items() if kill is None} == tautologies
+    assert tautologies == {
+        (0, 1, 0), (1, 0, 0), (0, 3, 1), (3, 0, 1), (0, 5, 2), (5, 0, 2)
+    }
+
+
+def test_tautological_cases_have_their_unit_in_the_direct_derivative():
+    # every square of order <= 3, one seeded square of order 4 and one of order 8
+    rng = random.Random(20)
+    squares = [q for n in (1, 2, 3) for q in enumerate_all(n)]
+    squares += [random_square(n, rng.randrange(1 << 30)) for n in (4, 8)]
+    checked = 0
+    for conv in all_conventions():
+        proved = [c for c in all_cases() if case_proof(c, conv) is not None]
+        assert proved
+        for c in proved:
+            for q in squares:
+                for a in range(q.n):
+                    derived = apply_derivative(q, a, c.spec, conv)
+                    assert find_unit(derived, c.unit) is not None, (c.token, conv.token, a)
+                    checked += 1
+    assert checked == 1728 * (1 + 2 * 2 + 12 * 3 + 4 + 8)
+
+
+def test_proved_cases_are_the_plus_cells_of_exhaustive_four():
+    result = run_survey(EX4, CONVENTION_A)
+    proved = {c for c in all_cases() if case_proof(c, CONVENTION_A) is not None}
+    plus = {c for c, s in result.statuses.items() if isinstance(s, NoCounterexample)}
+    assert proved == plus and len(plus) == 216
+
+
+def test_tautologies_are_settled_without_pulling_a_square(monkeypatch):
+    pulled = []
+
+    def rows(desc, bound=None):
+        pulled.append(desc)
+        return iter(())
+
+    monkeypatch.setattr(survey, "iter_corpus_rows", rows)
+    probe = case_probe(case("e:L,E,L/f"), CONVENTION_A)
+    assert probe_scan(EX4, [probe]) == {probe: None}
+    assert len(pulled) == 1  # the stream is opened, for its bound check, but never pulled
+
+
+def test_scan_stops_pulling_once_every_probe_is_dead(monkeypatch):
+    real = survey.iter_corpus_rows
+    pulled = []
+
+    def rows(desc, bound=None):
+        for item in real(desc, bound):
+            pulled.append(item)
+            yield item
+
+    monkeypatch.setattr(survey, "iter_corpus_rows", rows)
+    probe = case_probe(case("23:L,Pi,E/f"), CONVENTION_A)
+    kills = probe_scan(CorpusDescriptor.parse("exhaustive:5"), [probe])
+    assert kills[probe][:3] == (3, 0, 0)
+    assert len(pulled) == survey._BATCH  # one batch, not the next
+
+
+def test_scan_batch_skips_squares_after_the_last_kill():
+    batch = [(3, i, q.mul_table) for i, q in enumerate(enumerate_all(3))]
+    probe = case_probe(case("23:L,Pi,E/f"), CONVENTION_A)
+    assert survey._scan_batch(batch, (probe,)) == [(0, [(probe, 0)])]
+
+
+def test_tautology_bound_is_checked_before_the_scan(monkeypatch):
+    monkeypatch.delenv("QD_MAX_ORDER", raising=False)
+    with pytest.raises(OrderTooLargeError):
+        minimal_counterexample(case("e:L,E,L/f"), CONVENTION_A, max_order=6)
+
+
+@pytest.mark.parametrize(
+    "token", ["random:5:seed=0:count=0", "random:2:seed=0:count=5", "exhaustive:2"]
+)
+def test_vacuous_corpora_are_rejected(token):
+    with pytest.raises(ValueError):
+        run_survey(CorpusDescriptor.parse(token), CONVENTION_A)
