@@ -303,7 +303,10 @@ def verify_theorem(claim: int, desc: CorpusDescriptor | None = None) -> bool:
 
 
 def cmd_verify(args) -> int:
-    desc = CorpusDescriptor.parse(args.corpus) if args.corpus else None
+    desc = None
+    if args.corpus:
+        desc = CorpusDescriptor.parse(args.corpus)
+        desc.check_refutable()
     if args.what == "example":
         ok = verify_example()
     elif args.what == "lemma":

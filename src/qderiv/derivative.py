@@ -189,11 +189,18 @@ def _invert(images: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def derivative_rows(
-    q: Quasigroup, a: int, spec: DerivativeSpec, conv: Convention = CONVENTION_A
-) -> list[list[int]]:
-    """Cayley rows of the derivative, without validation."""
-    b = q if spec.sigma is ParastropheSym.ID else apply_parastrophe(q, spec.sigma)
+Maps = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+
+
+def derivative_maps(
+    q: Quasigroup, b: Quasigroup, a: int, spec: DerivativeSpec, conv: Convention
+) -> Maps:
+    """The images of alpha, beta, gamma at a after the convention's actions.
+
+    ``b`` is the spec's sigma-parastrophe of ``q``; the translations are
+    taken in q or in b as the convention says.  The derivative is then
+    x . y = gamma(b(alpha(x), beta(y))) (compose_derivative).
+    """
     source = q if conv.translation_source == "base" else b
     alpha = _component_images(source, spec.triple.alpha, a)
     beta = _component_images(source, spec.triple.beta, a)
@@ -202,8 +209,22 @@ def derivative_rows(
         alpha, beta = _invert(alpha), _invert(beta)
     if conv.result_action == "inverse":
         gamma = _invert(gamma)
+    return alpha, beta, gamma
+
+
+def compose_derivative(b: Quasigroup, maps: Maps) -> list[list[int]]:
+    """Cayley rows of x . y = gamma(b(alpha(x), beta(y))), without validation."""
+    alpha, beta, gamma = maps
     bt = b.mul_table
     return [[gamma[bt[ax][by]] for by in beta] for ax in alpha]
+
+
+def derivative_rows(
+    q: Quasigroup, a: int, spec: DerivativeSpec, conv: Convention = CONVENTION_A
+) -> list[list[int]]:
+    """Cayley rows of the derivative, without validation."""
+    b = q if spec.sigma is ParastropheSym.ID else apply_parastrophe(q, spec.sigma)
+    return compose_derivative(b, derivative_maps(q, b, a, spec, conv))
 
 
 def apply_derivative(

@@ -227,10 +227,13 @@ def certificate_to_doc(cert: Certificate) -> dict:
 
 
 def certificate_from_doc(doc: dict) -> Certificate:
+    a = doc["a"]
+    if not isinstance(a, int) or isinstance(a, bool):
+        raise ParseError(f"certificate: a must be an integer, got {a!r}")
     case = CaseId(parse_spec(doc["spec"]), UnitKind(doc["unit"]))
     return Certificate(
         rows=tuple(tuple(r) for r in doc["table"]),
-        a=doc["a"],
+        a=a,
         case=case,
         convention=parse_convention(doc["convention"]),
         refutation=tuple((u, x) for u, x in doc["refutation"]),

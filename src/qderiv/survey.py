@@ -23,11 +23,16 @@ or bounded evidence over the corpus scanned.
 
 Certificates are built from the full derivative construction, independent
 of the probe shortcut, so an unsound probe would surface as an impossible
-certificate.
+certificate.  Within one survey call each derived table is built and
+validated once and shared by every case and convention that gives the same
+(square, a, sigma, alpha, beta, gamma) (_Derivatives).  The convention
+agreement table builds the certificate of every minus under every
+convention the same way and keeps only the counts.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -42,10 +47,12 @@ from .derivative import (
     TripleComponent,
     all_conventions,
     apply_derivative,
+    compose_derivative,
+    derivative_maps,
     enumerate_specs,
 )
-from .parastrophe import ParastropheSym, transfer_kind
-from .qcore import QuasigroupError, from_table
+from .parastrophe import ParastropheSym, apply_parastrophe, transfer_kind
+from .qcore import Quasigroup, QuasigroupError, from_table
 from .units import UnitKind
 
 Rows = tuple[tuple[int, ...], ...]
@@ -385,14 +392,19 @@ def _unit_equation_holds(
     return table[x][x] == u
 
 
-def build_certificate(rows: Rows, a: int, case: CaseId, conv: Convention) -> Certificate:
+def build_certificate(
+    rows: Rows, a: int, case: CaseId, conv: Convention, table: Rows | None = None
+) -> Certificate:
     """Refutation witnesses for every candidate, from the full derivative.
 
-    Raises SurveyError if some candidate is actually a unit; that would mean
-    the probe that selected (rows, a) was unsound.
+    ``table`` is the derivative's Cayley table when the caller has already
+    built and validated it (a survey shares them, see _Derivatives);
+    otherwise apply_derivative builds it here.  Raises SurveyError if some
+    candidate is actually a unit; that would mean the probe that selected
+    (rows, a) was unsound.
     """
-    q = from_table(rows)
-    table = apply_derivative(q, a, case.spec, conv).mul_table
+    if table is None:
+        table = apply_derivative(from_table(rows), a, case.spec, conv).mul_table
     n = len(rows)
     refutation = []
     for u in range(n):
@@ -450,6 +462,69 @@ def verify_certificate(cert: Certificate) -> bool:
 # Surveys.
 
 
+class _Derivatives:
+    """The derived tables of one survey call, each built and validated once.
+
+    A derived table is gamma(B(alpha(x), beta(y))) for the sigma-parastrophe
+    B of the kill square, so it is keyed by the square's (order, stream
+    index), sigma and the alpha, beta, gamma images after the convention's
+    actions (derivative_maps, the same step apply_derivative takes).  The
+    cases and conventions that act alike on a square share one table.  The
+    base quasigroup is built once per square and each parastrophe once per
+    sigma; every derived table is validated by from_table.
+    """
+
+    def __init__(self) -> None:
+        self._paras: dict[tuple[int, int], dict[ParastropheSym, Quasigroup]] = {}
+        self._tables: dict[tuple, Rows] = {}
+
+    def table(self, kill: Kill, spec: DerivativeSpec, conv: Convention) -> Rows:
+        order, idx, a, rows = kill
+        paras = self._paras.get((order, idx))
+        if paras is None:
+            paras = self._paras[order, idx] = {ParastropheSym.ID: from_table(rows)}
+        q = paras[ParastropheSym.ID]
+        b = paras.get(spec.sigma)
+        if b is None:
+            b = paras[spec.sigma] = apply_parastrophe(q, spec.sigma)
+        maps = derivative_maps(q, b, a, spec, conv)
+        key = (order, idx, spec.sigma, maps)
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = from_table(compose_derivative(b, maps)).mul_table
+        return table
+
+
+def _survey_statuses(
+    desc: CorpusDescriptor,
+    conventions: Sequence[Convention],
+    jobs: int,
+    bound: int | None,
+) -> Iterator[tuple[Convention, CaseId, Certificate | NoCounterexample]]:
+    """(convention, case, status) for every case under each convention, from one scan.
+
+    Every case with a counterexample gets its certificate built from the
+    full derived table, so an unsound probe raises SurveyError here.
+    """
+    cases = all_cases()
+    probe_of = {
+        conv: {case: case_probe(case, conv) for case in cases} for conv in conventions
+    }
+    probes = {p for m in probe_of.values() for p in m.values()}
+    kills = probe_scan(desc, probes, jobs=jobs, bound=bound)
+    derivatives = _Derivatives()
+    none_found = NoCounterexample(desc.order, desc.token)
+    for conv in conventions:
+        for case in cases:
+            kill = kills[probe_of[conv][case]]
+            if kill is None:
+                yield conv, case, none_found
+            else:
+                _, _, a, rows = kill
+                table = derivatives.table(kill, case.spec, conv)
+                yield conv, case, build_certificate(rows, a, case, conv, table)
+
+
 def run_survey_multi(
     desc: CorpusDescriptor,
     conventions: Sequence[Convention],
@@ -457,24 +532,12 @@ def run_survey_multi(
     bound: int | None = None,
 ) -> dict[Convention, SurveyResult]:
     """One corpus pass shared by several conventions."""
-    cases = all_cases()
-    probe_of = {
-        conv: {case: case_probe(case, conv) for case in cases} for conv in conventions
+    statuses: dict[Convention, dict[CaseId, Certificate | NoCounterexample]] = {
+        conv: {} for conv in conventions
     }
-    probes = {p for m in probe_of.values() for p in m.values()}
-    kills = probe_scan(desc, probes, jobs=jobs, bound=bound)
-    out: dict[Convention, SurveyResult] = {}
-    for conv in conventions:
-        statuses: dict[CaseId, Certificate | NoCounterexample] = {}
-        for case in cases:
-            kill = kills[probe_of[conv][case]]
-            if kill is None:
-                statuses[case] = NoCounterexample(desc.order, desc.token)
-            else:
-                _, _, a, rows = kill
-                statuses[case] = build_certificate(rows, a, case, conv)
-        out[conv] = SurveyResult(conv, desc, statuses)
-    return out
+    for conv, case, status in _survey_statuses(desc, conventions, jobs, bound):
+        statuses[conv][case] = status
+    return {conv: SurveyResult(conv, desc, s) for conv, s in statuses.items()}
 
 
 def run_survey(
@@ -523,6 +586,10 @@ class SignTable:
         return len(self.signs)
 
 
+def _sign(status: Certificate | NoCounterexample) -> str:
+    return MINUS if isinstance(status, Certificate) else PLUS
+
+
 def compute_table(survey: SurveyResult) -> SignTable:
     """Minus where a counterexample was found, plus otherwise.
 
@@ -531,28 +598,16 @@ def compute_table(survey: SurveyResult) -> SignTable:
     Every refutable probe fails in exhaustive:4, so on exhaustive:N for
     N >= 4 every plus is proved.
     """
-    return SignTable(
-        {
-            case: (MINUS if isinstance(status, Certificate) else PLUS)
-            for case, status in survey.statuses.items()
-        }
-    )
+    return SignTable({case: _sign(status) for case, status in survey.statuses.items()})
 
 
-_paper_table_cache: SignTable | None = None
-
-
+@functools.cache
 def embedded_paper_table() -> SignTable:
     """The reference classification table shipped with the package."""
-    global _paper_table_cache
-    if _paper_table_cache is None:
-        from .reportio import parse_paper_table  # deferred to avoid a cycle
+    from .reportio import parse_paper_table  # deferred to avoid a cycle
 
-        text = (
-            resources.files("qderiv").joinpath("data/paper_table.txt").read_text()
-        )
-        _paper_table_cache = parse_paper_table(text)
-    return _paper_table_cache
+    text = resources.files("qderiv").joinpath("data/paper_table.txt").read_text()
+    return parse_paper_table(text)
 
 
 AGREE, DISAGREE, PAPER_UNKNOWN = "agree", "disagree", "paper_unknown"
@@ -637,9 +692,12 @@ def convention_agreement_table(
     """Agreement counts against the reference table for all eight conventions.
 
     No convention is singled out; the counts are evidence for the reader.
+    Every minus is backed by a certificate built as in run_survey_multi,
+    which raises SurveyError on an unsound probe; only the signs are kept.
     """
-    surveys = run_survey_multi(desc, list(all_conventions()), jobs=jobs, bound=bound)
+    signs: dict[Convention, dict[CaseId, str]] = {conv: {} for conv in all_conventions()}
+    for conv, case, status in _survey_statuses(desc, list(signs), jobs, bound):
+        signs[conv][case] = _sign(status)
     return {
-        conv.token: agreement_counts(compute_table(result), paper)
-        for conv, result in surveys.items()
+        conv.token: agreement_counts(SignTable(s), paper) for conv, s in signs.items()
     }

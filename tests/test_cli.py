@@ -100,6 +100,10 @@ def test_certify_keeps_the_order_bound_for_tautological_cases(capsys, monkeypatc
         ["survey", "--corpus", "random:5:seed=0:count=0"],
         ["survey", "--corpus", "random:2:seed=0:count=3"],
         ["certify", "--case", "e:L,L,E/f", "--max-order", "2"],
+        ["verify", "lemma", "--corpus", "exhaustive:2"],
+        ["verify", "lemma", "--corpus", "random:5:seed=0:count=0"],
+        ["verify", "table1", "--corpus", "exhaustive:2"],
+        ["verify", "table1", "--corpus", "random:5:seed=0:count=0"],
     ],
 )
 def test_vacuous_corpora_are_errors(capsys, argv):
@@ -168,3 +172,17 @@ def test_verify_theorem_prints_per_convention_lines(capsys):
 def test_usage_error_exit_code(capsys):
     assert run(["derive", "/nonexistent", "--a", "0", "--spec", "bad spec"]) == 1
     assert run(["no-such-command"]) == 1
+
+
+@pytest.mark.parametrize("bad", ["0", True, 1.0])
+def test_diff_paper_rejects_a_certificate_a_that_is_not_an_integer(tmp_path, capsys, bad):
+    path = tmp_path / "survey.json"
+    assert run(["survey", "--corpus", "exhaustive:3", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    entry = next(e for e in doc["cases"] if e["status"] == "counterexample")
+    entry["certificate"]["a"] = bad
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["diff-paper", str(path), "--skip-convention-scan"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""

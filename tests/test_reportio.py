@@ -189,3 +189,12 @@ def test_computed_table_emit_shape():
     text = emit_table_markdown(compute_table(survey), title="Computed signs")
     assert text.count("##") == 108
     assert "?" not in text.replace("x/y", "")  # computed tables have no unknowns
+
+
+@pytest.mark.parametrize("bad", ["0", True, 1.0])
+def test_certificate_a_must_be_an_integer(bad):
+    doc = json.loads(survey_to_json(run_survey(EX3, CONVENTION_A)))
+    entry = next(e for e in doc["cases"] if e["status"] == "counterexample")
+    entry["certificate"]["a"] = bad
+    with pytest.raises(ParseError, match="a must be an integer"):
+        survey_from_json(json.dumps(doc))

@@ -231,6 +231,7 @@ def test_minimal_counterexample_examples():
 
 def test_embedded_paper_table_shape_and_quoted_cells():
     paper = embedded_paper_table()
+    assert paper is embedded_paper_table()
     assert len(paper) == 1944
     unknowns = [c for c, s in paper.signs.items() if s == "?"]
     assert len(unknowns) == 1
@@ -368,3 +369,59 @@ def test_tautology_bound_is_checked_before_the_scan(monkeypatch):
 def test_vacuous_corpora_are_rejected(token):
     with pytest.raises(ValueError):
         run_survey(CorpusDescriptor.parse(token), CONVENTION_A)
+
+
+def _eight_surveys(desc):
+    return run_survey_multi(desc, list(all_conventions()))
+
+
+@pytest.mark.parametrize(
+    "scan",
+    [_eight_surveys, lambda desc: convention_agreement_table(desc, embedded_paper_table())],
+    ids=["run_survey_multi", "convention_agreement_table"],
+)
+def test_unsound_probe_raises_on_both_paths(monkeypatch, scan):
+    # a proved case compiled to a refutable probe must be caught by its certificate
+    proved = next(c for c in all_cases() if case_proof(c, CONVENTION_A) is not None)
+    refutable = case_probe(case("23:L,Pi,E/f"), CONVENTION_A)
+    real = survey.case_probe
+
+    def unsound(c, conv):
+        return refutable if (c, conv) == (proved, CONVENTION_A) else real(c, conv)
+
+    monkeypatch.setattr(survey, "case_probe", unsound)
+    with pytest.raises(SurveyError, match="probe unsound"):
+        scan(EX4)
+
+
+def test_shared_derived_tables_give_the_uncached_certificates():
+    for conv, result in _eight_surveys(EX4).items():
+        certs = [s for s in result.statuses.values() if isinstance(s, Certificate)]
+        assert len(certs) == 1728
+        for cert in certs:
+            assert cert == build_certificate(cert.rows, cert.a, cert.case, conv)
+            assert verify_certificate(cert)
+
+
+def test_convention_table_builds_each_derived_table_once(monkeypatch):
+    from qderiv import derivative, parastrophe
+
+    calls = []
+    for module in (survey, parastrophe, derivative):
+        real = module.from_table
+        monkeypatch.setattr(
+            module, "from_table", lambda rows, real=real: calls.append(1) or real(rows)
+        )
+    desc = CorpusDescriptor.parse("random:16:seed=1:count=300")
+    convention_agreement_table(desc, embedded_paper_table())
+    # one base square, its five other parastrophes, 648 distinct derived tables
+    assert 0 < len(calls) <= 1 + 5 + 648
+
+
+def test_convention_table_counts_equal_the_full_surveys():
+    paper = embedded_paper_table()
+    counts = convention_agreement_table(EX4, paper)
+    assert counts == {
+        conv.token: agreement_counts(compute_table(run_survey(EX4, conv)), paper)
+        for conv in all_conventions()
+    }
