@@ -17,7 +17,6 @@ from .derivative import (
     Convention,
     DerivativeSpec,
     IsotopyTriple,
-    TripleComponent,
     all_conventions,
     apply_derivative,
     enumerate_specs,
@@ -52,7 +51,6 @@ __all__ = [
     "Quasigroup",
     "QuasigroupError",
     "TranslationKind",
-    "TripleComponent",
     "UnitKind",
     "UnitProfile",
     "all_conventions",

@@ -18,6 +18,7 @@ from typing import Iterator
 from .qcore import Quasigroup, from_table
 
 DEFAULT_MAX_ORDER = 5
+MAX_ORDER = 256  # the scan stores permutations as bytes
 
 
 class OrderTooLargeError(Exception):
@@ -60,8 +61,8 @@ class CorpusDescriptor:
     def __post_init__(self):
         if self.mode not in ("exhaustive", "reduced", "random"):
             raise ValueError(f"bad corpus mode {self.mode!r}")
-        if self.order < 1:
-            raise ValueError(f"bad corpus order {self.order}")
+        if not 1 <= self.order <= MAX_ORDER:
+            raise ValueError(f"bad corpus order {self.order}: must be in 1..{MAX_ORDER}")
         if self.mode == "random" and (self.seed is None or self.count is None):
             raise ValueError("random corpus requires seed and count")
 
@@ -185,16 +186,16 @@ def random_rows(n: int, seed: int) -> tuple[tuple[int, ...], ...]:
     """One Latin square from seeded randomized backtracking.
 
     Not uniform over Latin squares; refutation search needs variety, not
-    uniformity.  Deterministic for fixed (n, seed).
+    uniformity.  Deterministic for fixed (n, seed).  Cells are filled in
+    row-major order by a depth-first search on an explicit stack, so the
+    caller's stack depth does not matter at any order.
     """
     rng = random.Random(f"{n}:{seed}")
     full = (1 << n) - 1
     grid = [[0] * n for _ in range(n)]
     col_free = [full] * n
 
-    def fill(r: int, c: int, row_free: int) -> bool:
-        if c == n:
-            return r + 1 == n or fill(r + 1, 0, full)
+    def candidates(c: int, row_free: int) -> tuple[Iterator[int], int]:
         avail = row_free & col_free[c]
         values = []
         while avail:
@@ -202,18 +203,29 @@ def random_rows(n: int, seed: int) -> tuple[tuple[int, ...], ...]:
             avail ^= bit
             values.append(bit.bit_length() - 1)
         rng.shuffle(values)
-        for v in values:
-            bit = 1 << v
-            grid[r][c] = v
-            col_free[c] ^= bit
-            if fill(r, c + 1, row_free ^ bit):
-                return True
-            col_free[c] ^= bit
-        return False
+        return iter(values), row_free
 
-    filled = fill(0, 0, full)
-    assert filled, "backtracking always completes"
-    return tuple(tuple(row) for row in grid)
+    # One frame per cell entered: its untried values and the row's free values.
+    stack = [candidates(0, full)]
+    while True:
+        r, c = divmod(len(stack) - 1, n)
+        untried, row_free = stack[-1]
+        v = next(untried, None)
+        if v is None:
+            stack.pop()
+            assert stack, "backtracking always completes"
+            r, c = divmod(len(stack) - 1, n)
+            col_free[c] ^= 1 << grid[r][c]
+            continue
+        bit = 1 << v
+        grid[r][c] = v
+        col_free[c] ^= bit
+        if len(stack) == n * n:
+            return tuple(tuple(row) for row in grid)
+        if c + 1 == n:
+            stack.append(candidates(0, full))
+        else:
+            stack.append(candidates(c + 1, row_free ^ bit))
 
 
 def random_square(n: int, seed: int) -> Quasigroup:

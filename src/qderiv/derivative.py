@@ -16,49 +16,21 @@ to the product, and takes all translations in the base quasigroup:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 from .parastrophe import ParastropheSym, apply_parastrophe
-from .qcore import Quasigroup, TranslationKind, from_table, translation_images
+from .qcore import Quasigroup, TranslationKind, from_table, invert_images, translation_images
 from .units import UnitKind, find_unit
-
-
-class TripleComponent(Enum):
-    L = "L"
-    LINV = "Li"
-    R = "R"
-    RINV = "Ri"
-    P = "P"
-    PINV = "Pi"
-    E = "E"  # the identity permutation
-
-    @property
-    def token(self) -> str:
-        return self.value
-
-    @property
-    def translation_kind(self) -> TranslationKind | None:
-        return None if self is TripleComponent.E else TranslationKind(self.value)
-
-    @property
-    def inverse(self) -> "TripleComponent":
-        if self is TripleComponent.E:
-            return self
-        return TripleComponent(self.translation_kind.inverse.value)
-
-
-TRANSLATION_COMPONENTS = tuple(c for c in TripleComponent if c is not TripleComponent.E)
 
 
 @dataclass(frozen=True)
 class IsotopyTriple:
-    alpha: TripleComponent
-    beta: TripleComponent
-    gamma: TripleComponent
+    alpha: TranslationKind
+    beta: TranslationKind
+    gamma: TranslationKind
 
     def __post_init__(self):
-        n_identity = [self.alpha, self.beta, self.gamma].count(TripleComponent.E)
+        n_identity = [self.alpha, self.beta, self.gamma].count(TranslationKind.E)
         if n_identity != 1:
             raise ValueError(
                 f"triple must have exactly one identity component, got {n_identity}"
@@ -127,14 +99,7 @@ def all_conventions() -> tuple[Convention, ...]:
 # Block layout of the 648 specs: for each base kind k, the patterns
 # (k,*,E), (k,E,*), (E,k,*) with * running over all six kinds, then the six
 # parastrophe rows per block.
-_KIND_ORDER = (
-    TripleComponent.L,
-    TripleComponent.LINV,
-    TripleComponent.R,
-    TripleComponent.RINV,
-    TripleComponent.P,
-    TripleComponent.PINV,
-)
+_KIND_ORDER = tuple(TranslationKind)[1:]  # L, Li, R, Ri, P, Pi: all but E
 
 _SIGMA_ORDER = (
     ParastropheSym.ID,
@@ -145,7 +110,7 @@ _SIGMA_ORDER = (
     ParastropheSym.S123,
 )
 
-_E = TripleComponent.E
+_E = TranslationKind.E
 
 
 @lru_cache(maxsize=1)
@@ -174,21 +139,6 @@ def enumerate_specs() -> tuple[DerivativeSpec, ...]:
     )
 
 
-def _component_images(
-    source: Quasigroup, component: TripleComponent, a: int
-) -> tuple[int, ...]:
-    if component is TripleComponent.E:
-        return tuple(range(source.n))
-    return translation_images(source, component.translation_kind, a)
-
-
-def _invert(images: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(images)
-    for i, v in enumerate(images):
-        out[v] = i
-    return tuple(out)
-
-
 Maps = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
@@ -202,13 +152,13 @@ def derivative_maps(
     x . y = gamma(b(alpha(x), beta(y))) (compose_derivative).
     """
     source = q if conv.translation_source == "base" else b
-    alpha = _component_images(source, spec.triple.alpha, a)
-    beta = _component_images(source, spec.triple.beta, a)
-    gamma = _component_images(source, spec.triple.gamma, a)
+    alpha = translation_images(source, spec.triple.alpha, a)
+    beta = translation_images(source, spec.triple.beta, a)
+    gamma = translation_images(source, spec.triple.gamma, a)
     if conv.arg_action == "inverse":
-        alpha, beta = _invert(alpha), _invert(beta)
+        alpha, beta = invert_images(alpha), invert_images(beta)
     if conv.result_action == "inverse":
-        gamma = _invert(gamma)
+        gamma = invert_images(gamma)
     return alpha, beta, gamma
 
 
@@ -219,14 +169,6 @@ def compose_derivative(b: Quasigroup, maps: Maps) -> list[list[int]]:
     return [[gamma[bt[ax][by]] for by in beta] for ax in alpha]
 
 
-def derivative_rows(
-    q: Quasigroup, a: int, spec: DerivativeSpec, conv: Convention = CONVENTION_A
-) -> list[list[int]]:
-    """Cayley rows of the derivative, without validation."""
-    b = q if spec.sigma is ParastropheSym.ID else apply_parastrophe(q, spec.sigma)
-    return compose_derivative(b, derivative_maps(q, b, a, spec, conv))
-
-
 def apply_derivative(
     q: Quasigroup, a: int, spec: DerivativeSpec, conv: Convention = CONVENTION_A
 ) -> Quasigroup:
@@ -235,20 +177,21 @@ def apply_derivative(
     The result is an isostrophe of q, hence always a quasigroup; validation
     is rerun anyway as a cheap invariant check.
     """
-    return from_table(derivative_rows(q, a, spec, conv))
+    b = q if spec.sigma is ParastropheSym.ID else apply_parastrophe(q, spec.sigma)
+    return from_table(compose_derivative(b, derivative_maps(q, b, a, spec, conv)))
 
 
 def _classical(sigma: ParastropheSym, alpha, beta, gamma) -> DerivativeSpec:
     return DerivativeSpec(sigma, IsotopyTriple(alpha, beta, gamma))
 
 
-RIGHT_DERIVATIVE_SPEC = _classical(ParastropheSym.ID, TripleComponent.L, _E, TripleComponent.L)
-LEFT_DERIVATIVE_SPEC = _classical(ParastropheSym.ID, _E, TripleComponent.R, TripleComponent.R)
+RIGHT_DERIVATIVE_SPEC = _classical(ParastropheSym.ID, TranslationKind.L, _E, TranslationKind.L)
+LEFT_DERIVATIVE_SPEC = _classical(ParastropheSym.ID, _E, TranslationKind.R, TranslationKind.R)
 MIDDLE_DERIVATIVE_SPEC = _classical(
-    ParastropheSym.ID, TripleComponent.R, TripleComponent.LINV, _E
+    ParastropheSym.ID, TranslationKind.R, TranslationKind.LINV, _E
 )
 MIDDLE_INVERSE_DERIVATIVE_SPEC = _classical(
-    ParastropheSym.ID, TripleComponent.RINV, TripleComponent.L, _E
+    ParastropheSym.ID, TranslationKind.RINV, TranslationKind.L, _E
 )
 
 
@@ -276,15 +219,15 @@ def middle_inverse_derivative(q: Quasigroup, a: int) -> Quasigroup:
 # claimed unit kind.
 THEOREM_CLAIMS: dict[int, tuple[DerivativeSpec, UnitKind]] = {
     1: (
-        _classical(ParastropheSym.ID, TripleComponent.L, TripleComponent.L, _E),
+        _classical(ParastropheSym.ID, TranslationKind.L, TranslationKind.L, _E),
         UnitKind.LEFT,
     ),
     2: (
-        _classical(ParastropheSym.S12, TripleComponent.L, TripleComponent.L, _E),
+        _classical(ParastropheSym.S12, TranslationKind.L, TranslationKind.L, _E),
         UnitKind.RIGHT,
     ),
     3: (
-        _classical(ParastropheSym.S23, TripleComponent.L, TripleComponent.LINV, _E),
+        _classical(ParastropheSym.S23, TranslationKind.L, TranslationKind.LINV, _E),
         UnitKind.LEFT,
     ),
 }

@@ -1,11 +1,27 @@
 """The six parastrophes of a quasigroup and translation transfer between them.
 
-Each parastrophe permutes the three roles (left argument, right argument,
-product) of the base operation.  The symbol-to-operation mapping used
-throughout is:
+Each parastrophe permutes the three roles (0 left argument, 1 right
+argument, 2 product) of the base operation.  The symbol-to-operation
+mapping used throughout is:
 
     e -> x*y    12 -> y*x    23 -> x\\y    132 -> y\\x
     13 -> y/x   123 -> x/y
+
+The role algebra has a single source: _ROLE_MAP, one role permutation pi
+per symbol, together with the (fixed, input, output) roles of each
+TranslationKind.  Everything else follows from them:
+
+  * apply_parastrophe places each triple (x, y, x*y) of q by pi;
+  * B-role j of the sigma-parastrophe B sits at base role pi.index(j), so a
+    translation of B with roles (f, i, o) is the translation of q with
+    roles (pi.index(f), pi.index(i), pi.index(o)).  That is TRANSFER.
+    For example pi = (1, 2, 0) for 132 takes R = (1, 0, 2) to
+    (0, 2, 1) = Li: R_a of B(x, y) = y\\x is x -> a\\x, which is Li_a of q;
+  * the rows, columns and middle translations of B are TRANSFER[sigma] of
+    L, R and P; the survey's family tables are read off those three kinds.
+
+verify_translation_transfer checks all 36 transfer cells against
+translations read off the actual tables.
 """
 
 from __future__ import annotations
@@ -62,29 +78,15 @@ ROW_LABELS = {
 }
 
 
-def parastrophe_value(q: Quasigroup, sigma: ParastropheSym, x: int, y: int) -> int:
-    """B(x, y) for the sigma-parastrophe B of q, without building B."""
-    if sigma is ParastropheSym.ID:
-        return q.mul_table[x][y]
-    if sigma is ParastropheSym.S12:
-        return q.mul_table[y][x]
-    if sigma is ParastropheSym.S23:
-        return q.ldiv_table[x][y]
-    if sigma is ParastropheSym.S132:
-        return q.ldiv_table[y][x]
-    if sigma is ParastropheSym.S13:
-        return q.rdiv_table[y][x]
-    if sigma is ParastropheSym.S123:
-        return q.rdiv_table[x][y]
-    raise ValueError(f"unknown parastrophe {sigma!r}")
-
-
 def apply_parastrophe(q: Quasigroup, sigma: ParastropheSym) -> Quasigroup:
     """The sigma-parastrophe of q, as a validated quasigroup."""
-    n = q.n
-    rows = [
-        [parastrophe_value(q, sigma, x, y) for y in range(n)] for x in range(n)
-    ]
+    pi = _ROLE_MAP[sigma]
+    r0, r1, r2 = (pi.index(j) for j in range(3))
+    rows = [[0] * q.n for _ in range(q.n)]
+    for x, row in enumerate(q.mul_table):
+        for y, z in enumerate(row):
+            t = (x, y, z)
+            rows[t[r0]][t[r1]] = t[r2]
     return from_table(rows)
 
 
@@ -97,41 +99,27 @@ def compose(sigma: ParastropheSym, tau: ParastropheSym) -> ParastropheSym:
     return _SYM_BY_ROLE[(ps[pt[0]], ps[pt[1]], ps[pt[2]])]
 
 
+def _transferred(kind: TranslationKind, pi: tuple[int, int, int]) -> TranslationKind:
+    return TranslationKind.with_roles(tuple(pi.index(role) for role in kind.roles))
+
+
+_KINDS = tuple(TranslationKind)[1:]  # all but E
+
 # Translation transfer: for parastrophe B of q, the translation of B of a
 # given kind at a equals a (possibly different) kind of translation of q at
 # the same a.  TRANSFER[sigma][kind] names that kind of q.
-_K = TranslationKind
 TRANSFER: dict[ParastropheSym, dict[TranslationKind, TranslationKind]] = {
-    ParastropheSym.ID: {
-        _K.R: _K.R, _K.L: _K.L, _K.P: _K.P,
-        _K.RINV: _K.RINV, _K.LINV: _K.LINV, _K.PINV: _K.PINV,
-    },
-    ParastropheSym.S12: {
-        _K.R: _K.L, _K.L: _K.R, _K.P: _K.PINV,
-        _K.RINV: _K.LINV, _K.LINV: _K.RINV, _K.PINV: _K.P,
-    },
-    ParastropheSym.S23: {
-        _K.R: _K.P, _K.L: _K.LINV, _K.P: _K.R,
-        _K.RINV: _K.PINV, _K.LINV: _K.L, _K.PINV: _K.RINV,
-    },
-    ParastropheSym.S132: {
-        _K.R: _K.LINV, _K.L: _K.P, _K.P: _K.RINV,
-        _K.RINV: _K.L, _K.LINV: _K.PINV, _K.PINV: _K.R,
-    },
-    ParastropheSym.S13: {
-        _K.R: _K.PINV, _K.L: _K.RINV, _K.P: _K.L,
-        _K.RINV: _K.P, _K.LINV: _K.R, _K.PINV: _K.LINV,
-    },
-    ParastropheSym.S123: {
-        _K.R: _K.RINV, _K.L: _K.PINV, _K.P: _K.LINV,
-        _K.RINV: _K.R, _K.LINV: _K.P, _K.PINV: _K.L,
-    },
+    sigma: {kind: _transferred(kind, pi) for kind in _KINDS}
+    for sigma, pi in _ROLE_MAP.items()
 }
 
 
 def transfer_kind(kind: TranslationKind, sigma: ParastropheSym) -> TranslationKind:
-    """Which translation of q equals the given translation of the sigma-parastrophe."""
-    return TRANSFER[sigma][kind]
+    """Which translation of q equals the given translation of the sigma-parastrophe.
+
+    E, the identity, is the identity in every parastrophe.
+    """
+    return TRANSFER[sigma].get(kind, kind)
 
 
 @dataclass(frozen=True)
@@ -147,7 +135,7 @@ def verify_translation_transfer(q: Quasigroup) -> tuple[TransferCell, ...]:
     """Check all 36 (kind, parastrophe) transfer cells at every element a."""
     cells = []
     paras = {s: apply_parastrophe(q, s) for s in ParastropheSym}
-    for kind in TranslationKind:
+    for kind in _KINDS:
         for sigma in ParastropheSym:
             designated = TRANSFER[sigma][kind]
             ok, failure = True, None

@@ -33,30 +33,54 @@ class NotLatinError(QuasigroupError):
 
 
 class TranslationKind(Enum):
-    L = "L"
-    LINV = "Li"
-    R = "R"
-    RINV = "Ri"
-    P = "P"
-    PINV = "Pi"
+    """A translation at a, named by its token, or E, the identity.
+
+    ``roles`` is (fixed, input, output) over the three roles of x*y = z
+    (0 left argument, 1 right argument, 2 product): the translation at a
+    holds role ``fixed`` at a and sends the value in role ``input`` to the
+    value in role ``output``.  E has no roles.
+    """
+
+    def __new__(cls, token: str, roles: tuple[int, int, int] | None):
+        member = object.__new__(cls)
+        member._value_ = token
+        member.roles = roles
+        return member
+
+    E = "E", None
+    L = "L", (0, 1, 2)
+    LINV = "Li", (0, 2, 1)
+    R = "R", (1, 0, 2)
+    RINV = "Ri", (1, 2, 0)
+    P = "P", (2, 0, 1)
+    PINV = "Pi", (2, 1, 0)
 
     @property
     def token(self) -> str:
         return self.value
 
+    @classmethod
+    def with_roles(cls, roles: tuple[int, int, int] | None) -> "TranslationKind":
+        return _KIND_BY_ROLES[roles]
+
     @property
     def inverse(self) -> "TranslationKind":
-        return _INVERSE_KIND[self]
+        """The inverse translation: input and output swap roles."""
+        if self.roles is None:
+            return self
+        fixed, source, target = self.roles
+        return _KIND_BY_ROLES[fixed, target, source]
 
 
-_INVERSE_KIND = {
-    TranslationKind.L: TranslationKind.LINV,
-    TranslationKind.LINV: TranslationKind.L,
-    TranslationKind.R: TranslationKind.RINV,
-    TranslationKind.RINV: TranslationKind.R,
-    TranslationKind.P: TranslationKind.PINV,
-    TranslationKind.PINV: TranslationKind.P,
-}
+_KIND_BY_ROLES = {kind.roles: kind for kind in TranslationKind}
+
+
+def invert_images(images: Sequence[int]) -> tuple[int, ...]:
+    """The images of the inverse of the bijection with the given images."""
+    out = [0] * len(images)
+    for i, v in enumerate(images):
+        out[v] = i
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -85,10 +109,7 @@ class Permutation:
         return Permutation(tuple(self.images[v] for v in other.images))
 
     def inverse(self) -> "Permutation":
-        out = [0] * len(self.images)
-        for i, v in enumerate(self.images):
-            out[v] = i
-        return Permutation(tuple(out))
+        return Permutation(invert_images(self.images))
 
     def is_identity(self) -> bool:
         return all(v == i for i, v in enumerate(self.images))
@@ -130,7 +151,7 @@ class Quasigroup:
 
         L_a(x) = a*x, R_a(x) = x*a, P_a(x) = x\\a (so x * P_a(x) = a);
         the inverse kinds are the inverse permutations: Li_a(x) = a\\x,
-        Ri_a(x) = x/a, Pi_a(x) = a/x.
+        Ri_a(x) = x/a, Pi_a(x) = a/x.  E is the identity.
         """
         return Permutation(translation_images(self, kind, a))
 
@@ -139,7 +160,14 @@ class Quasigroup:
 
 
 def translation_images(q: Quasigroup, kind: TranslationKind, a: int) -> tuple[int, ...]:
+    """The images of the translation at a, read off the tables by definition.
+
+    Deliberately not derived from ``kind.roles``, so that checks of the role
+    algebra against data (verify_translation_transfer) test something.
+    """
     n = q.n
+    if kind is TranslationKind.E:
+        return tuple(range(n))
     if kind is TranslationKind.L:
         return q.mul_table[a]
     if kind is TranslationKind.LINV:

@@ -10,15 +10,9 @@ from __future__ import annotations
 import json
 
 from .corpus import CorpusDescriptor
-from .derivative import (
-    Convention,
-    DerivativeSpec,
-    IsotopyTriple,
-    TripleComponent,
-    enumerate_triples,
-)
+from .derivative import Convention, DerivativeSpec, IsotopyTriple, enumerate_triples
 from .parastrophe import ROW_LABELS, ROW_ORDER, ParastropheSym
-from .qcore import Quasigroup, from_table
+from .qcore import Quasigroup, TranslationKind, from_table
 from .survey import (
     AGREE,
     PAPER_UNKNOWN,
@@ -108,7 +102,7 @@ def emit_cayley(q: Quasigroup) -> str:
 # Derivative specs: "<sigma>:<alpha>,<beta>,<gamma>", e.g. "23:L,Pi,E".
 
 _SIGMA_BY_TOKEN = {s.token: s for s in ParastropheSym}
-_COMPONENT_BY_TOKEN = {c.token: c for c in TripleComponent}
+_COMPONENT_BY_TOKEN = {c.token: c for c in TranslationKind}
 
 
 def parse_spec(text: str) -> DerivativeSpec:
@@ -126,16 +120,12 @@ def parse_spec(text: str) -> DerivativeSpec:
         if part not in _COMPONENT_BY_TOKEN:
             raise ParseError(f"spec {text!r}: bad component token {part!r}")
         comps.append(_COMPONENT_BY_TOKEN[part])
-    n_identity = comps.count(TripleComponent.E)
+    n_identity = comps.count(TranslationKind.E)
     if n_identity == 0:
         raise NoEError(f"spec {text!r}: exactly one component must be E")
     if n_identity > 1:
         raise MultipleEError(f"spec {text!r}: exactly one component must be E")
     return DerivativeSpec(_SIGMA_BY_TOKEN[head], IsotopyTriple(*comps))
-
-
-def emit_spec(spec: DerivativeSpec) -> str:
-    return spec.token
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +154,6 @@ def parse_convention(text: str) -> Convention:
     if fields["trans"] not in _TRANS_TOKENS:
         raise ParseError(f"convention {text!r}: bad trans value {fields['trans']!r}")
     return Convention(fields["args"], fields["result"], _TRANS_TOKENS[fields["trans"]])
-
-
-def emit_convention(conv: Convention) -> str:
-    return conv.token
 
 
 # ---------------------------------------------------------------------------
@@ -226,17 +212,25 @@ def certificate_to_doc(cert: Certificate) -> dict:
     }
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def certificate_from_doc(doc: dict) -> Certificate:
     a = doc["a"]
-    if not isinstance(a, int) or isinstance(a, bool):
+    if not _is_int(a):
         raise ParseError(f"certificate: a must be an integer, got {a!r}")
+    refutation = tuple(tuple(pair) for pair in doc["refutation"])
+    for pair in refutation:
+        if len(pair) != 2 or not all(map(_is_int, pair)):
+            raise ParseError(f"certificate: refutation pair {list(pair)!r} must be two integers")
     case = CaseId(parse_spec(doc["spec"]), UnitKind(doc["unit"]))
     return Certificate(
         rows=tuple(tuple(r) for r in doc["table"]),
         a=a,
         case=case,
         convention=parse_convention(doc["convention"]),
-        refutation=tuple((u, x) for u, x in doc["refutation"]),
+        refutation=refutation,
     )
 
 
@@ -309,13 +303,13 @@ def _survey_from_doc(doc: dict) -> SurveyResult:
 # Markdown reports mirroring the 108-block table layout.
 
 _COMPONENT_DISPLAY = {
-    TripleComponent.L: "L_a",
-    TripleComponent.LINV: "L^{-1}_a",
-    TripleComponent.R: "R_a",
-    TripleComponent.RINV: "R^{-1}_a",
-    TripleComponent.P: "P_a",
-    TripleComponent.PINV: "P^{-1}_a",
-    TripleComponent.E: "ε",
+    TranslationKind.L: "L_a",
+    TranslationKind.LINV: "L^{-1}_a",
+    TranslationKind.R: "R_a",
+    TranslationKind.RINV: "R^{-1}_a",
+    TranslationKind.P: "P_a",
+    TranslationKind.PINV: "P^{-1}_a",
+    TranslationKind.E: "ε",
 }
 
 

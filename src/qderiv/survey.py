@@ -44,15 +44,14 @@ from .derivative import (
     CONVENTION_A,
     Convention,
     DerivativeSpec,
-    TripleComponent,
     all_conventions,
     apply_derivative,
     compose_derivative,
     derivative_maps,
     enumerate_specs,
 )
-from .parastrophe import ParastropheSym, apply_parastrophe, transfer_kind
-from .qcore import Quasigroup, QuasigroupError, from_table
+from .parastrophe import TRANSFER, ParastropheSym, apply_parastrophe, transfer_kind
+from .qcore import Quasigroup, QuasigroupError, TranslationKind, from_table
 from .units import UnitKind
 
 Rows = tuple[tuple[int, ...], ...]
@@ -104,9 +103,6 @@ class NoCounterexample:
     corpus: str
 
 
-CaseStatus = "Certificate | NoCounterexample"
-
-
 @dataclass(frozen=True)
 class SurveyResult:
     convention: Convention
@@ -127,67 +123,51 @@ def all_cases() -> tuple[CaseId, ...]:
 # ---------------------------------------------------------------------------
 # Probe compilation.
 #
-# Translations at a are indexed 0..6: E, L, Li, R, Ri, P, Pi.  A probe is
-# (i, j, fam): compose translations i after j and test membership in family
-# fam (0 = rows {L_u}, 1 = columns {R_u}, 2 = middle {P_u}).
+# Translations at a are indexed 0..6 in TranslationKind order: E, L, Li, R,
+# Ri, P, Pi.  A probe is (i, j, fam): compose translations i after j and
+# test membership in family fam (0 = rows {L_u}, 1 = columns {R_u},
+# 2 = middle {P_u}).
 
-_KIND_INDEX = {
-    TripleComponent.E: 0,
-    TripleComponent.L: 1,
-    TripleComponent.LINV: 2,
-    TripleComponent.R: 3,
-    TripleComponent.RINV: 4,
-    TripleComponent.P: 5,
-    TripleComponent.PINV: 6,
-}
-_INV = (0, 2, 1, 4, 3, 6, 5)
+_KIND_INDEX = {kind: i for i, kind in enumerate(TranslationKind)}
+_INV = tuple(_KIND_INDEX[kind.inverse] for kind in TranslationKind)
 
-_FAM_L, _FAM_R, _FAM_P = 0, 1, 2
+
+# The generator of each family, indexed by family.
+_GENERATORS = (TranslationKind.L, TranslationKind.R, TranslationKind.P)
+
+
+def _family(kind: TranslationKind) -> tuple[int, bool]:
+    """(family, is-inverse) of a kind other than E.
+
+    The family is the role the kind holds at a (L and Li hold the left
+    argument, R and Ri the right one, P and Pi the product).  A generator
+    sends the earlier of its two other roles to the later one, so a kind
+    whose input role comes after its output role is an inverse.
+    """
+    fixed, source, target = kind.roles
+    return fixed, source > target
+
 
 # (family, test_inverse) of the rows / columns / middle translations of each
 # parastrophe, expressed in base-square families.
-_PS = ParastropheSym
-_ROW_FAMILY = {
-    _PS.ID: (_FAM_L, False),
-    _PS.S12: (_FAM_R, False),
-    _PS.S23: (_FAM_L, True),
-    _PS.S132: (_FAM_P, False),
-    _PS.S13: (_FAM_R, True),
-    _PS.S123: (_FAM_P, True),
-}
-_COL_FAMILY = {
-    _PS.ID: (_FAM_R, False),
-    _PS.S12: (_FAM_L, False),
-    _PS.S23: (_FAM_P, False),
-    _PS.S132: (_FAM_L, True),
-    _PS.S13: (_FAM_P, True),
-    _PS.S123: (_FAM_R, True),
-}
-_MID_FAMILY = {
-    _PS.ID: (_FAM_P, False),
-    _PS.S12: (_FAM_P, True),
-    _PS.S23: (_FAM_R, False),
-    _PS.S132: (_FAM_R, True),
-    _PS.S13: (_FAM_L, False),
-    _PS.S123: (_FAM_L, True),
-}
+_ROW_FAMILY, _COL_FAMILY, _MID_FAMILY = (
+    {sigma: _family(kinds[generator]) for sigma, kinds in TRANSFER.items()}
+    for generator in _GENERATORS
+)
 
 Probe = tuple[int, int, int]
 
 
 def _effective_index(
-    component: TripleComponent, sigma: ParastropheSym, conv: Convention, is_arg: bool
+    kind: TranslationKind, sigma: ParastropheSym, conv: Convention, is_arg: bool
 ) -> int:
-    """Index of the translation the component actually applies, at conv."""
-    if component is TripleComponent.E:
-        return 0
-    kind = component.translation_kind
+    """Index of the translation the triple component actually applies, at conv."""
     if conv.translation_source == "parastrophe":
         kind = transfer_kind(kind, sigma)
     action = conv.arg_action if is_arg else conv.result_action
     if action == "inverse":
         kind = kind.inverse
-    return _KIND_INDEX[TripleComponent(kind.token)]
+    return _KIND_INDEX[kind]
 
 
 def case_probe(case: CaseId, conv: Convention) -> Probe:
@@ -212,7 +192,7 @@ def case_probe(case: CaseId, conv: Convention) -> Probe:
 # Tautologies: the translation at a that generates a family, composed with
 # the identity, is that family's member a in every quasigroup.
 
-_GENERATOR = (1, 3, 5)  # L, R, P: indexed by family
+_GENERATOR_INDEX = tuple(_KIND_INDEX[kind] for kind in _GENERATORS)
 _PROOF = ("L_a is row a", "R_a is column a", "P_a is middle translation a")
 
 
@@ -225,7 +205,7 @@ def tautology_proof(probe: Probe) -> str | None:
     somewhere in exhaustive:4.
     """
     i, j, fam = probe
-    if {i, j} == {0, _GENERATOR[fam]}:
+    if {i, j} == {0, _GENERATOR_INDEX[fam]}:
         return _PROOF[fam]
     return None
 
@@ -243,6 +223,8 @@ _BATCH = 512
 
 
 def _inv_bytes(p: bytes) -> bytes:
+    # qcore.invert_images on bytes: the scan needs bytes for translate and
+    # set membership, and inverts 2n rows and columns per square pulled.
     out = bytearray(len(p))
     for i, v in enumerate(p):
         out[v] = i

@@ -54,10 +54,6 @@ def middle_unit(q: Quasigroup) -> int | None:
     return s
 
 
-def has_unit(q: Quasigroup, kind: UnitKind) -> bool:
-    return find_unit(q, kind) is not None
-
-
 def find_unit(q: Quasigroup, kind: UnitKind) -> int | None:
     if kind is UnitKind.LEFT:
         return left_unit(q)

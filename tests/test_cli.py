@@ -186,3 +186,14 @@ def test_diff_paper_rejects_a_certificate_a_that_is_not_an_integer(tmp_path, cap
     assert run(["diff-paper", str(path), "--skip-convention-scan"]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.out == ""
+
+
+def test_survey_random_corpus_orders(tmp_path, capsys):
+    # order 32 used to overflow the stack; orders above 256 are refused
+    out = tmp_path / "survey.json"
+    assert run(["survey", "--corpus", "random:32:seed=1:count=1", "--out", str(out)]) == 0
+    assert len(survey_from_json(out.read_text()).statuses) == 1944
+    capsys.readouterr()
+    assert run(["survey", "--corpus", "random:257:seed=1:count=1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""

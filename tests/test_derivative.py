@@ -9,10 +9,8 @@ from qderiv.derivative import (
     Convention,
     DerivativeSpec,
     IsotopyTriple,
-    TripleComponent,
     all_conventions,
     apply_derivative,
-    derivative_rows,
     enumerate_specs,
     enumerate_triples,
     left_derivative,
@@ -21,18 +19,18 @@ from qderiv.derivative import (
     right_derivative,
     theorem_check,
 )
-from qderiv.parastrophe import ParastropheSym, parastrophe_value
-from qderiv.qcore import check_identities, from_table, translation_images
+from qderiv.parastrophe import ParastropheSym
+from qderiv.qcore import TranslationKind, check_identities, from_table, translation_images
 from qderiv.units import left_unit, right_unit
 
 E, L, LI, R, RI, P, PI = (
-    TripleComponent.E,
-    TripleComponent.L,
-    TripleComponent.LINV,
-    TripleComponent.R,
-    TripleComponent.RINV,
-    TripleComponent.P,
-    TripleComponent.PINV,
+    TranslationKind.E,
+    TranslationKind.L,
+    TranslationKind.LINV,
+    TranslationKind.R,
+    TranslationKind.RINV,
+    TranslationKind.P,
+    TranslationKind.PINV,
 )
 
 
@@ -113,28 +111,36 @@ def test_derivatives_always_latin():
 def test_conv_a_matches_direct_formula_when_gamma_is_identity():
     # independent recomputation: x . y = B(alpha x, beta y) for every
     # gamma=E block (the arguments transform directly, nothing hits the
-    # product)
+    # product), with B written out from the six operations
     q = random_square(4, 3)
     ident = tuple(range(q.n))
+    ops = {
+        ParastropheSym.ID: lambda x, y: q.mul(x, y),
+        ParastropheSym.S12: lambda x, y: q.mul(y, x),
+        ParastropheSym.S23: lambda x, y: q.ldiv(x, y),
+        ParastropheSym.S132: lambda x, y: q.ldiv(y, x),
+        ParastropheSym.S13: lambda x, y: q.rdiv(y, x),
+        ParastropheSym.S123: lambda x, y: q.rdiv(x, y),
+    }
 
     def images(component, a):
         if component is E:
             return ident
-        return translation_images(q, component.translation_kind, a)
+        return translation_images(q, component, a)
 
     checked = 0
     for s in enumerate_specs():
         if s.triple.gamma is not E:
             continue
         checked += 1
+        op = ops[s.sigma]
         for a in range(q.n):
             alpha = images(s.triple.alpha, a)
             beta = images(s.triple.beta, a)
-            expected = [
-                [parastrophe_value(q, s.sigma, alpha[x], beta[y]) for y in range(q.n)]
-                for x in range(q.n)
-            ]
-            assert derivative_rows(q, a, s, CONVENTION_A) == expected
+            expected = tuple(
+                tuple(op(alpha[x], beta[y]) for y in range(q.n)) for x in range(q.n)
+            )
+            assert apply_derivative(q, a, s, CONVENTION_A).mul_table == expected
     assert checked == 216
 
 
@@ -175,7 +181,10 @@ def test_translation_source_irrelevant_for_identity_parastrophe():
         if s.sigma is not ParastropheSym.ID:
             continue
         for a in (0, 3):
-            assert derivative_rows(q, a, s, base) == derivative_rows(q, a, s, para)
+            assert (
+                apply_derivative(q, a, s, base).mul_table
+                == apply_derivative(q, a, s, para).mul_table
+            )
 
 
 def test_translation_source_changes_other_parastrophes():
@@ -183,7 +192,7 @@ def test_translation_source_changes_other_parastrophes():
     base = Convention("direct", "inverse", "base")
     para = Convention("direct", "inverse", "parastrophe")
     differing = sum(
-        derivative_rows(q, 0, s, base) != derivative_rows(q, 0, s, para)
+        apply_derivative(q, 0, s, base).mul_table != apply_derivative(q, 0, s, para).mul_table
         for s in enumerate_specs()
         if s.sigma is not ParastropheSym.ID
     )

@@ -8,7 +8,6 @@ from qderiv.parastrophe import (
     ParastropheSym,
     apply_parastrophe,
     compose,
-    parastrophe_value,
     transfer_kind,
     verify_translation_transfer,
 )
@@ -24,16 +23,20 @@ def test_s23_of_cyclic_group(z3):
     assert b.mul_table == ((0, 1, 2), (2, 0, 1), (1, 2, 0))
 
 
-def test_symbol_operation_mapping(z3):
+def test_symbol_operation_mapping(z3, q2):
     # e->xy, 12->yx, 23->x\y, 132->y\x, 13->y/x, 123->x/y
-    for x in range(3):
-        for y in range(3):
-            assert parastrophe_value(z3, ParastropheSym.ID, x, y) == z3.mul(x, y)
-            assert parastrophe_value(z3, ParastropheSym.S12, x, y) == z3.mul(y, x)
-            assert parastrophe_value(z3, ParastropheSym.S23, x, y) == z3.ldiv(x, y)
-            assert parastrophe_value(z3, ParastropheSym.S132, x, y) == z3.ldiv(y, x)
-            assert parastrophe_value(z3, ParastropheSym.S13, x, y) == z3.rdiv(y, x)
-            assert parastrophe_value(z3, ParastropheSym.S123, x, y) == z3.rdiv(x, y)
+    for q in (z3, q2):
+        ops = {
+            ParastropheSym.ID: lambda x, y: q.mul(x, y),
+            ParastropheSym.S12: lambda x, y: q.mul(y, x),
+            ParastropheSym.S23: lambda x, y: q.ldiv(x, y),
+            ParastropheSym.S132: lambda x, y: q.ldiv(y, x),
+            ParastropheSym.S13: lambda x, y: q.rdiv(y, x),
+            ParastropheSym.S123: lambda x, y: q.rdiv(x, y),
+        }
+        for sigma, op in ops.items():
+            expected = tuple(tuple(op(x, y) for y in range(3)) for x in range(3))
+            assert apply_parastrophe(q, sigma).mul_table == expected, sigma
 
 
 def test_parastrophes_stay_latin():

@@ -10,6 +10,7 @@ from qderiv.qcore import (
     TranslationKind,
     check_identities,
     from_table,
+    translation_images,
 )
 
 
@@ -127,3 +128,22 @@ def test_permutation_compose_and_inverse():
 def test_permutation_rejects_non_bijection():
     with pytest.raises(ValueError):
         Permutation((0, 0, 1))
+
+
+def test_translation_roles_match_the_tables():
+    # a kind with roles (f, i, o) sends t[i] to t[o] for every triple
+    # t = (x, y, x*y) with t[f] = a; its inverse swaps input and output
+    for q in small_corpus(3):
+        for kind in TranslationKind:
+            for a in range(q.n):
+                images = translation_images(q, kind, a)
+                assert q.translation(kind.inverse, a) == q.translation(kind, a).inverse()
+                if kind is TranslationKind.E:
+                    assert kind.roles is None and images == tuple(range(q.n))
+                    continue
+                f, i, o = kind.roles
+                for x, row in enumerate(q.mul_table):
+                    for y, z in enumerate(row):
+                        t = (x, y, z)
+                        if t[f] == a:
+                            assert images[t[i]] == t[o], (kind, a, t)

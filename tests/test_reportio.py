@@ -15,9 +15,7 @@ from qderiv.reportio import (
     ParseError,
     diff_report_markdown,
     emit_cayley,
-    emit_convention,
     emit_paper_table,
-    emit_spec,
     emit_table_markdown,
     parse_cayley,
     parse_convention,
@@ -78,7 +76,7 @@ def test_spec_parse_example():
 
 def test_spec_round_trip_all_648():
     for spec in enumerate_specs():
-        assert parse_spec(emit_spec(spec)) == spec
+        assert parse_spec(spec.token) == spec
 
 
 def test_spec_parse_errors():
@@ -97,7 +95,7 @@ def test_spec_parse_errors():
 def test_convention_alias_and_round_trip():
     assert parse_convention("A") == CONVENTION_A
     for conv in all_conventions():
-        assert parse_convention(emit_convention(conv)) == conv
+        assert parse_convention(conv.token) == conv
     assert parse_convention("args=inverse;result=direct;trans=para").translation_source == "parastrophe"
 
 
@@ -197,4 +195,24 @@ def test_certificate_a_must_be_an_integer(bad):
     entry = next(e for e in doc["cases"] if e["status"] == "counterexample")
     entry["certificate"]["a"] = bad
     with pytest.raises(ParseError, match="a must be an integer"):
+        survey_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "u, mangle",
+    [
+        (0, lambda x: ["0", x]),
+        (1, lambda x: [True, x]),
+        (0, lambda x: [0, None]),
+        (0, lambda x: [0]),
+        (0, lambda x: [0, x, x]),
+    ],
+)
+def test_certificate_refutation_pairs_must_be_two_integers(u, mangle):
+    doc = json.loads(survey_to_json(run_survey(EX3, CONVENTION_A)))
+    entry = next(e for e in doc["cases"] if e["status"] == "counterexample")
+    refutation = entry["certificate"]["refutation"]
+    assert refutation[u][0] == u
+    refutation[u] = mangle(refutation[u][1])
+    with pytest.raises(ParseError, match="must be two integers"):
         survey_from_json(json.dumps(doc))
