@@ -3,7 +3,6 @@
 from .qcore import (
     BadEntryError,
     NotLatinError,
-    Permutation,
     Quasigroup,
     QuasigroupError,
     TranslationKind,
@@ -47,7 +46,6 @@ __all__ = [
     "NotLatinError",
     "OrderTooLargeError",
     "ParastropheSym",
-    "Permutation",
     "Quasigroup",
     "QuasigroupError",
     "TranslationKind",

@@ -133,7 +133,7 @@ def cmd_enumerate(args) -> int:
 def cmd_survey(args) -> int:
     desc = CorpusDescriptor.parse(args.corpus)
     conv = reportio.parse_convention(args.convention)
-    result = run_survey(desc, conv, jobs=args.jobs)
+    result = run_survey(desc, conv)
     _write_text(args.out, reportio.survey_to_json(result))
     n_minus = sum(1 for s in result.statuses.values() if isinstance(s, Certificate))
     print(
@@ -147,7 +147,7 @@ def cmd_survey(args) -> int:
 def cmd_certify(args) -> int:
     case = _parse_case(args.case)
     conv = reportio.parse_convention(args.convention)
-    cert = minimal_counterexample(case, conv, max_order=args.max_order, jobs=args.jobs)
+    cert = minimal_counterexample(case, conv, max_order=args.max_order)
     if cert is None:
         proof = case_proof(case, conv)
         if proof is None:
@@ -165,7 +165,7 @@ def cmd_diff_paper(args) -> int:
     paper = embedded_paper_table()
     agreements = None
     if not args.skip_convention_scan:
-        agreements = convention_agreement_table(survey.corpus, paper, jobs=args.jobs)
+        agreements = convention_agreement_table(survey.corpus, paper)
     report = diff_against_paper(survey, paper, agreements)
     _write_text(args.out, reportio.diff_report_markdown(report))
     return EXIT_OK
@@ -213,20 +213,27 @@ def verify_example() -> bool:
     return ok
 
 
-def _lemma_corpus(desc: CorpusDescriptor | None):
-    """(label, squares) pairs: default is all orders 1..4 plus 1000 random order-8."""
+def _verify_corpus(desc: CorpusDescriptor | None, random_count: int):
+    """(label, squares) pairs for a verify check.
+
+    The given corpus, or by default every square of orders 1..4 and then
+    ``random_count`` seeded random order-8 squares.
+    """
     if desc is not None:
         yield desc.token, (q for _, _, q in corpus_mod.iter_corpus(desc))
         return
     for n in (1, 2, 3, 4):
         yield f"exhaustive order {n}", corpus_mod.enumerate_all(n)
-    yield "1000 random order-8", (corpus_mod.random_square(8, seed) for seed in range(1000))
+    yield (
+        f"{random_count} random order-8",
+        (corpus_mod.random_square(8, seed) for seed in range(random_count)),
+    )
 
 
 def verify_lemma(desc: CorpusDescriptor | None = None) -> bool:
     """The four classical derivatives carry their units with explicit witnesses."""
     ok = True
-    for label, squares in _lemma_corpus(desc):
+    for label, squares in _verify_corpus(desc, 1000):
         n_squares = 0
         failures = 0
         for q in squares:
@@ -251,17 +258,8 @@ def verify_lemma(desc: CorpusDescriptor | None = None) -> bool:
 
 def verify_table1(desc: CorpusDescriptor | None = None) -> bool:
     """All 36 translation-transfer cells on the corpus."""
-    if desc is not None:
-        corpora = [(desc.token, (q for _, _, q in corpus_mod.iter_corpus(desc)))]
-    else:
-        corpora = [
-            (f"exhaustive order {n}", corpus_mod.enumerate_all(n)) for n in (1, 2, 3, 4)
-        ]
-        corpora.append(
-            ("100 random order-8", (corpus_mod.random_square(8, seed) for seed in range(100)))
-        )
     ok = True
-    for label, squares in corpora:
+    for label, squares in _verify_corpus(desc, 100):
         bad = 0
         n_squares = 0
         for q in squares:
@@ -326,6 +324,9 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+_JOBS_HELP = "accepted for existing scripts; has no effect, the scan is sequential"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qderiv",
@@ -365,14 +366,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True, help='e.g. "exhaustive:4"')
     p.add_argument("--convention", default="A")
     p.add_argument("--out")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p.set_defaults(func=cmd_survey)
 
     p = sub.add_parser("certify", help="minimal counterexample for one case")
     p.add_argument("--case", required=True, help='e.g. "23:L,Pi,E/f"')
     p.add_argument("--convention", default="A")
     p.add_argument("--max-order", type=int, default=5)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("verify", help="built-in end-to-end checks")
@@ -384,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diff-paper", help="diff a survey against the reference table")
     p.add_argument("survey")
     p.add_argument("--out")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p.add_argument(
         "--skip-convention-scan",
         action="store_true",

@@ -149,36 +149,38 @@ def _iter_latin_rows(
     yield from fill(0, 0, full)
 
 
-def enumerate_all(n: int, bound: int | None = None) -> Iterator[Quasigroup]:
+def _check_order(n: int) -> None:
+    """Raise unless n is an order exhaustive enumeration accepts.
+
+    ValueError below 1; OrderTooLargeError above exhaustive_bound().
+    """
+    if n < 1:
+        raise ValueError(f"order must be at least 1, got {n}")
+    bound = exhaustive_bound()
+    if n > bound:
+        raise OrderTooLargeError(n, bound)
+
+
+def enumerate_all(n: int) -> Iterator[Quasigroup]:
     """Every order-n Latin square exactly once, lexicographic row-major."""
-    bound = exhaustive_bound() if bound is None else bound
-    if n > bound:
-        raise OrderTooLargeError(n, bound)
-    for rows in _iter_latin_rows(n):
-        yield from_table(rows)
+    _check_order(n)
+    return map(from_table, _iter_latin_rows(n))
 
 
-def enumerate_reduced(n: int, bound: int | None = None) -> Iterator[Quasigroup]:
+def enumerate_reduced(n: int) -> Iterator[Quasigroup]:
     """Order-n Latin squares with first row and column in natural order."""
-    bound = exhaustive_bound() if bound is None else bound
-    if n > bound:
-        raise OrderTooLargeError(n, bound)
-    for rows in _iter_latin_rows(n, reduced=True):
-        yield from_table(rows)
+    _check_order(n)
+    return map(from_table, _iter_latin_rows(n, reduced=True))
 
 
-def count_all(n: int, bound: int | None = None) -> int:
+def count_all(n: int) -> int:
     """Cardinality of enumerate_all(n), without storing squares."""
-    bound = exhaustive_bound() if bound is None else bound
-    if n > bound:
-        raise OrderTooLargeError(n, bound)
+    _check_order(n)
     return sum(1 for _ in _iter_latin_rows(n))
 
 
-def count_reduced(n: int, bound: int | None = None) -> int:
-    bound = exhaustive_bound() if bound is None else bound
-    if n > bound:
-        raise OrderTooLargeError(n, bound)
+def count_reduced(n: int) -> int:
+    _check_order(n)
     return sum(1 for _ in _iter_latin_rows(n, reduced=True))
 
 
@@ -233,7 +235,7 @@ def random_square(n: int, seed: int) -> Quasigroup:
 
 
 def iter_corpus_rows(
-    desc: CorpusDescriptor, bound: int | None = None
+    desc: CorpusDescriptor,
 ) -> Iterator[tuple[int, int, tuple[tuple[int, ...], ...]]]:
     """(order, stream index, rows) triples for a corpus, in canonical order.
 
@@ -243,9 +245,8 @@ def iter_corpus_rows(
     the call, not at the first pull: a caller that pulls nothing still
     learns that the corpus is out of bounds.
     """
-    bound = exhaustive_bound() if bound is None else bound
-    if desc.mode != "random" and desc.order > bound:
-        raise OrderTooLargeError(desc.order, bound)
+    if desc.mode != "random":
+        _check_order(desc.order)
     return _corpus_rows(desc)
 
 
@@ -262,8 +263,6 @@ def _corpus_rows(
             yield order, i, rows
 
 
-def iter_corpus(
-    desc: CorpusDescriptor, bound: int | None = None
-) -> Iterator[tuple[int, int, Quasigroup]]:
-    for order, i, rows in iter_corpus_rows(desc, bound):
+def iter_corpus(desc: CorpusDescriptor) -> Iterator[tuple[int, int, Quasigroup]]:
+    for order, i, rows in iter_corpus_rows(desc):
         yield order, i, from_table(rows)

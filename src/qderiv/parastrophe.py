@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .qcore import Permutation, Quasigroup, TranslationKind, from_table
+from .qcore import Quasigroup, TranslationKind, from_table, translation_images
 
 
 class ParastropheSym(Enum):
@@ -141,12 +141,10 @@ def verify_translation_transfer(q: Quasigroup) -> tuple[TransferCell, ...]:
             ok, failure = True, None
             b = paras[sigma]
             for a in range(q.n):
-                lhs: Permutation = b.translation(kind, a)
-                rhs: Permutation = q.translation(designated, a)
+                lhs = translation_images(b, kind, a)
+                rhs = translation_images(q, designated, a)
                 if lhs != rhs:
-                    bad = next(
-                        x for x in range(q.n) if lhs.images[x] != rhs.images[x]
-                    )
+                    bad = next(x for x in range(q.n) if lhs[x] != rhs[x])
                     ok, failure = False, (a, bad)
                     break
             cells.append(TransferCell(kind, sigma, designated, ok, failure))

@@ -84,44 +84,11 @@ def invert_images(images: Sequence[int]) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class Permutation:
-    """A bijection on {0..n-1}, stored as its image sequence."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(n)):
-            raise ValueError(f"not a bijection on 0..{n - 1}: {self.images}")
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
-
-    def __call__(self, x: int) -> int:
-        return self.images[x]
-
-    def __len__(self) -> int:
-        return len(self.images)
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: x -> self(other(x))."""
-        return Permutation(tuple(self.images[v] for v in other.images))
-
-    def inverse(self) -> "Permutation":
-        return Permutation(invert_images(self.images))
-
-    def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.images))
-
-
-@dataclass(frozen=True)
 class Quasigroup:
     """An order-n quasigroup: Latin multiplication table plus divisions.
 
     ``mul(x, y)`` is row x, column y.  ``ldiv(x, y)`` is the unique z with
-    x*z = y and ``rdiv(y, x)`` the unique z with z*x = y.  Immutable; safe
-    to share between workers.
+    x*z = y and ``rdiv(y, x)`` the unique z with z*x = y.  Immutable.
     """
 
     n: int
@@ -146,15 +113,6 @@ class Quasigroup:
     def col(self, a: int) -> tuple[int, ...]:
         return tuple(self.mul_table[x][a] for x in range(self.n))
 
-    def translation(self, kind: TranslationKind, a: int) -> Permutation:
-        """The translation of the given kind at element a.
-
-        L_a(x) = a*x, R_a(x) = x*a, P_a(x) = x\\a (so x * P_a(x) = a);
-        the inverse kinds are the inverse permutations: Li_a(x) = a\\x,
-        Ri_a(x) = x/a, Pi_a(x) = a/x.  E is the identity.
-        """
-        return Permutation(translation_images(self, kind, a))
-
     def __repr__(self) -> str:
         return f"Quasigroup(n={self.n}, rows={list(map(list, self.mul_table))})"
 
@@ -162,8 +120,12 @@ class Quasigroup:
 def translation_images(q: Quasigroup, kind: TranslationKind, a: int) -> tuple[int, ...]:
     """The images of the translation at a, read off the tables by definition.
 
-    Deliberately not derived from ``kind.roles``, so that checks of the role
-    algebra against data (verify_translation_transfer) test something.
+    L_a(x) = a*x, R_a(x) = x*a, P_a(x) = x\\a (so x * P_a(x) = a); the
+    inverse kinds are the inverse permutations: Li_a(x) = a\\x,
+    Ri_a(x) = x/a, Pi_a(x) = a/x.  E is the identity.
+
+    Deliberately not derived from ``kind.roles``, so that checks of the
+    role algebra against data (verify_translation_transfer) test something.
     """
     n = q.n
     if kind is TranslationKind.E:

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -216,10 +215,10 @@ def case_proof(case: CaseId, conv: Convention) -> str | None:
 
 
 # ---------------------------------------------------------------------------
-# The scan.  Permutations are bytes; composition is bytes.translate.
+# The scan.  Translations are bytes; composition is bytes.translate.
 
 _PAD256 = bytes(range(256))
-_BATCH = 512
+_BATCH = 512  # squares pulled from the corpus at a time
 
 
 def _inv_bytes(p: bytes) -> bytes:
@@ -278,85 +277,39 @@ def _group_probes(
     return tuple((i, j, tuple(v)) for (i, j), v in sorted(by_pair.items()))
 
 
-def _scan_batch(
-    batch: Sequence[tuple[int, int, Rows]], probes: tuple[Probe, ...]
-) -> list[tuple[int, list[tuple[Probe, int]]]]:
-    """Worker: kills per square of a batch, up to the square the last probe dies on.
-
-    Positions index into the batch; squares without kills are left out.  A
-    probe that dies is dropped from the later squares of the batch.
-    """
-    live = set(probes)
-    groups = _group_probes(live)
-    out = []
-    for pos, (_, _, rows) in enumerate(batch):
-        kills = _scan_square(rows, groups)
-        if not kills:
-            continue
-        out.append((pos, kills))
-        live.difference_update(probe for probe, _ in kills)
-        if not live:
-            break
-        groups = _group_probes(live)
-    return out
-
-
 Kill = tuple[int, int, int, Rows]  # (order, stream index, a, rows)
 
 
-def probe_scan(
-    desc: CorpusDescriptor,
-    probes: Iterable[Probe],
-    jobs: int = 1,
-    bound: int | None = None,
-) -> dict[Probe, Kill | None]:
+def probe_scan(desc: CorpusDescriptor, probes: Iterable[Probe]) -> dict[Probe, Kill | None]:
     """Minimal counterexample per probe over a corpus, or None.
 
     The corpus is checked first, whatever the probes: it must hold a square
     of order 3 or more, and an exhaustive order within the bound.  The
     tautological probes (tautology_proof) are then settled as None without
-    a square being pulled, and the rest are scanned until each has failed
-    or the corpus is exhausted; no batch is pulled once none is left.
-
-    Deterministic for fixed inputs regardless of jobs: kills are reduced in
-    (order, stream index, a) order, workers only partition the stream.
+    a square being pulled, and the rest are scanned in (order, stream
+    index, a) order, _BATCH squares pulled at a time, until each has failed
+    or the corpus is exhausted.  A probe that dies is dropped from the later
+    squares, and no square is scanned and no batch pulled once none is left.
     """
     desc.check_refutable()
-    stream = iter_corpus_rows(desc, bound)
+    stream = iter_corpus_rows(desc)
     results: dict[Probe, Kill | None] = {p: None for p in probes}
-    unsettled = {p for p in results if tautology_proof(p) is None}
-
-    batches = iter(lambda: list(itertools.islice(stream, _BATCH)), [])
-
-    def waves(size: int) -> Iterator[list[list[tuple[int, int, Rows]]]]:
-        """Up to ``size`` batches at a time, pulled only while a probe is unsettled."""
-        while unsettled:
-            wave = list(itertools.islice(batches, size))
-            if not wave:
-                return
-            yield wave
-
-    def apply(batch: Sequence[tuple[int, int, Rows]], scanned) -> None:
-        for pos, kills in scanned:
-            order, idx, rows = batch[pos]
+    live = {p for p in results if tautology_proof(p) is None}
+    groups = _group_probes(live)
+    while live:
+        batch = list(itertools.islice(stream, _BATCH))
+        if not batch:
+            break
+        for order, idx, rows in batch:
+            kills = _scan_square(rows, groups)
+            if not kills:
+                continue
             for probe, a in kills:
-                if probe in unsettled:
-                    results[probe] = (order, idx, a, rows)
-                    unsettled.discard(probe)
-
-    if jobs <= 1:
-        for (batch,) in waves(1):
-            apply(batch, _scan_batch(batch, tuple(sorted(unsettled))))
-        return results
-    if not unsettled:
-        return results
-
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for wave in waves(jobs):
-            snapshot = tuple(sorted(unsettled))
-            futures = [pool.submit(_scan_batch, b, snapshot) for b in wave]
-            for batch, fut in zip(wave, futures):
-                apply(batch, fut.result())
+                results[probe] = (order, idx, a, rows)
+                live.discard(probe)
+            if not live:
+                break
+            groups = _group_probes(live)
     return results
 
 
@@ -478,10 +431,7 @@ class _Derivatives:
 
 
 def _survey_statuses(
-    desc: CorpusDescriptor,
-    conventions: Sequence[Convention],
-    jobs: int,
-    bound: int | None,
+    desc: CorpusDescriptor, conventions: Sequence[Convention]
 ) -> Iterator[tuple[Convention, CaseId, Certificate | NoCounterexample]]:
     """(convention, case, status) for every case under each convention, from one scan.
 
@@ -493,7 +443,7 @@ def _survey_statuses(
         conv: {case: case_probe(case, conv) for case in cases} for conv in conventions
     }
     probes = {p for m in probe_of.values() for p in m.values()}
-    kills = probe_scan(desc, probes, jobs=jobs, bound=bound)
+    kills = probe_scan(desc, probes)
     derivatives = _Derivatives()
     none_found = NoCounterexample(desc.order, desc.token)
     for conv in conventions:
@@ -508,28 +458,26 @@ def _survey_statuses(
 
 
 def run_survey_multi(
-    desc: CorpusDescriptor,
-    conventions: Sequence[Convention],
-    jobs: int = 1,
-    bound: int | None = None,
+    desc: CorpusDescriptor, conventions: Sequence[Convention]
 ) -> dict[Convention, SurveyResult]:
     """One corpus pass shared by several conventions."""
     statuses: dict[Convention, dict[CaseId, Certificate | NoCounterexample]] = {
         conv: {} for conv in conventions
     }
-    for conv, case, status in _survey_statuses(desc, conventions, jobs, bound):
+    for conv, case, status in _survey_statuses(desc, conventions):
         statuses[conv][case] = status
     return {conv: SurveyResult(conv, desc, s) for conv, s in statuses.items()}
 
 
 def run_survey(
-    desc: CorpusDescriptor,
-    conv: Convention = CONVENTION_A,
-    jobs: int = 1,
-    bound: int | None = None,
+    desc: CorpusDescriptor, conv: Convention = CONVENTION_A, jobs: int = 1
 ) -> SurveyResult:
-    """Classify all 1944 cases over a corpus under one convention."""
-    return run_survey_multi(desc, [conv], jobs=jobs, bound=bound)[conv]
+    """Classify all 1944 cases over a corpus under one convention.
+
+    ``jobs`` is accepted for existing callers and ignored: the scan is
+    sequential.
+    """
+    return run_survey_multi(desc, [conv])[conv]
 
 
 def minimal_counterexample(
@@ -537,12 +485,15 @@ def minimal_counterexample(
     conv: Convention = CONVENTION_A,
     max_order: int = 5,
     jobs: int = 1,
-    bound: int | None = None,
 ) -> Certificate | None:
-    """First counterexample scanning orders 3..max_order exhaustively."""
+    """First counterexample scanning orders 3..max_order exhaustively.
+
+    ``jobs`` is accepted for existing callers and ignored: the scan is
+    sequential.
+    """
     desc = CorpusDescriptor("exhaustive", max_order)
     probe = case_probe(case, conv)
-    kill = probe_scan(desc, [probe], jobs=jobs, bound=bound)[probe]
+    kill = probe_scan(desc, [probe])[probe]
     if kill is None:
         return None
     _, _, a, rows = kill
@@ -669,16 +620,17 @@ def convention_agreement_table(
     desc: CorpusDescriptor,
     paper: SignTable,
     jobs: int = 1,
-    bound: int | None = None,
 ) -> dict[str, tuple[int, int, int]]:
     """Agreement counts against the reference table for all eight conventions.
 
     No convention is singled out; the counts are evidence for the reader.
     Every minus is backed by a certificate built as in run_survey_multi,
     which raises SurveyError on an unsound probe; only the signs are kept.
+    ``jobs`` is accepted for existing callers and ignored: the scan is
+    sequential.
     """
     signs: dict[Convention, dict[CaseId, str]] = {conv: {} for conv in all_conventions()}
-    for conv, case, status in _survey_statuses(desc, list(signs), jobs, bound):
+    for conv, case, status in _survey_statuses(desc, list(signs)):
         signs[conv][case] = _sign(status)
     return {
         conv.token: agreement_counts(SignTable(s), paper) for conv, s in signs.items()

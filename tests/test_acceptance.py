@@ -28,6 +28,7 @@ from qderiv.derivative import (
     right_derivative,
 )
 from qderiv.qcore import check_identities, from_table
+from qderiv import survey
 from qderiv.reportio import parse_spec, survey_to_json
 from qderiv.survey import (
     CaseId,
@@ -118,12 +119,15 @@ def test_criterion_7_enumeration_counts():
         assert count_all(5) == reduced5 * math.factorial(5) * math.factorial(4) == 161280
 
 
-def test_criterion_8_survey_determinism():
-    with criterion(8, "survey bytes identical for --jobs 1 and --jobs 8", 120.0):
-        desc = CorpusDescriptor.parse("exhaustive:4")
-        doc1 = survey_to_json(run_survey(desc, CONVENTION_A, jobs=1))
-        doc8 = survey_to_json(run_survey(desc, CONVENTION_A, jobs=8))
-        assert doc1 == doc8
+def test_criterion_8_survey_determinism(monkeypatch):
+    with criterion(8, "survey bytes identical for scan batches of 1, 7 and 512", 120.0):
+        for token in ("exhaustive:5", "random:16:seed=1:count=300"):
+            desc = CorpusDescriptor.parse(token)
+            docs = set()
+            for batch in (1, 7, 512):
+                monkeypatch.setattr(survey, "_BATCH", batch)
+                docs.add(survey_to_json(run_survey(desc, CONVENTION_A)))
+            assert len(docs) == 1, token
 
 
 def test_criterion_9_certificate_soundness():

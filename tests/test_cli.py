@@ -71,6 +71,15 @@ def test_enumerate_order_too_large(capsys):
     assert "bound" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("order", ["0", "-1"])
+@pytest.mark.parametrize("flags", [[], ["--count-only"], ["--reduced"]])
+def test_enumerate_rejects_orders_below_one(capsys, order, flags):
+    # order 0 used to end in a RecursionError, -1 in "negative shift count"
+    assert run(["enumerate", "--order", order, *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
 def test_certify_exit_codes(capsys):
     assert run(["certify", "--case", "23:L,Pi,E/f", "--max-order", "3"]) == 2
     doc = json.loads(capsys.readouterr().out)

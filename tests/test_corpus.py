@@ -119,9 +119,20 @@ def test_iter_corpus_rows_random_mode_is_seed_indexed():
     assert rows[3] == random_square(5, 12).mul_table
 
 
-def test_iter_corpus_rows_checks_the_bound_at_the_call():
+def test_iter_corpus_rows_checks_the_bound_at_the_call(monkeypatch):
+    monkeypatch.delenv("QD_MAX_ORDER", raising=False)
     with pytest.raises(OrderTooLargeError):
-        iter_corpus_rows(CorpusDescriptor.parse("exhaustive:6"), bound=5)  # nothing pulled
+        iter_corpus_rows(CorpusDescriptor.parse("exhaustive:6"))  # nothing pulled
+
+
+def test_orders_below_one_are_rejected():
+    with pytest.raises(ValueError):
+        count_all(0)
+    with pytest.raises(ValueError):
+        enumerate_all(-1)  # at the call, before any square is pulled
+    for check in (count_reduced, enumerate_reduced):
+        with pytest.raises(ValueError):
+            check(0)
 
 
 def test_check_refutable():

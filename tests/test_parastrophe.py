@@ -11,7 +11,7 @@ from qderiv.parastrophe import (
     transfer_kind,
     verify_translation_transfer,
 )
-from qderiv.qcore import TranslationKind, check_identities
+from qderiv.qcore import TranslationKind, check_identities, translation_images
 
 
 def test_s12_of_commutative_square_is_itself(z3):
@@ -79,8 +79,8 @@ def test_transfer_example_cell(z3):
     # the (R, 132) cell designates Li
     assert transfer_kind(TranslationKind.R, ParastropheSym.S132) == TranslationKind.LINV
     b = apply_parastrophe(z3, ParastropheSym.S132)
-    assert b.translation(TranslationKind.R, 1).images == (2, 0, 1)
-    assert z3.translation(TranslationKind.LINV, 1).images == (2, 0, 1)
+    assert translation_images(b, TranslationKind.R, 1) == (2, 0, 1)
+    assert translation_images(z3, TranslationKind.LINV, 1) == (2, 0, 1)
 
 
 def test_transfer_identity_column():

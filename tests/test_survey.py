@@ -147,10 +147,9 @@ def test_survey_lemma_cases_have_no_counterexample():
 
 
 def test_survey_covers_all_cases_deterministically():
-    r1 = run_survey(EX4, CONVENTION_A, jobs=1)
+    r1 = run_survey(EX4, CONVENTION_A)
     assert list(r1.statuses) == list(all_cases())
-    for jobs in (2, 4):
-        assert run_survey(EX4, CONVENTION_A, jobs=jobs) == r1
+    assert run_survey(EX4, CONVENTION_A) == r1
 
 
 def test_survey_monotone_in_corpus():
@@ -325,7 +324,7 @@ def test_proved_cases_are_the_plus_cells_of_exhaustive_four():
 def test_tautologies_are_settled_without_pulling_a_square(monkeypatch):
     pulled = []
 
-    def rows(desc, bound=None):
+    def rows(desc):
         pulled.append(desc)
         return iter(())
 
@@ -339,8 +338,8 @@ def test_scan_stops_pulling_once_every_probe_is_dead(monkeypatch):
     real = survey.iter_corpus_rows
     pulled = []
 
-    def rows(desc, bound=None):
-        for item in real(desc, bound):
+    def rows(desc):
+        for item in real(desc):
             pulled.append(item)
             yield item
 
@@ -351,10 +350,19 @@ def test_scan_stops_pulling_once_every_probe_is_dead(monkeypatch):
     assert len(pulled) == survey._BATCH  # one batch, not the next
 
 
-def test_scan_batch_skips_squares_after_the_last_kill():
-    batch = [(3, i, q.mul_table) for i, q in enumerate(enumerate_all(3))]
+def test_scan_skips_squares_after_the_last_kill(monkeypatch):
+    real = survey._scan_square
+    scanned = []
+
+    def scan_square(rows, groups):
+        scanned.append(rows)
+        return real(rows, groups)
+
+    monkeypatch.setattr(survey, "_scan_square", scan_square)
     probe = case_probe(case("23:L,Pi,E/f"), CONVENTION_A)
-    assert survey._scan_batch(batch, (probe,)) == [(0, [(probe, 0)])]
+    kills = probe_scan(EX3, [probe])
+    assert kills[probe][:3] == (3, 0, 0)
+    assert len(scanned) == 1
 
 
 def test_tautology_bound_is_checked_before_the_scan(monkeypatch):
