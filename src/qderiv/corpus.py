@@ -191,43 +191,73 @@ def random_rows(n: int, seed: int) -> tuple[tuple[int, ...], ...]:
     uniformity.  Deterministic for fixed (n, seed).  Cells are filled in
     row-major order by a depth-first search on an explicit stack, so the
     caller's stack depth does not matter at any order.
+
+    The draw contract: each cell entered takes its candidates (the values
+    free in its row and column) in ascending order and shuffles them with
+    Fisher-Yates, drawing each swap index j <= i by rejection sampling from
+    ``getrandbits((i + 1).bit_length())``, then tries them in shuffled
+    order.  These are exactly the draws of ``Random.shuffle`` (the same
+    code in Python 3.10 to 3.13), so the squares are those of shuffling
+    with it; a cell with no or one candidate draws nothing.
     """
-    rng = random.Random(f"{n}:{seed}")
+    getrandbits = random.Random(f"{n}:{seed}").getrandbits
     full = (1 << n) - 1
     grid = [[0] * n for _ in range(n)]
     col_free = [full] * n
-
-    def candidates(c: int, row_free: int) -> tuple[Iterator[int], int]:
-        avail = row_free & col_free[c]
-        values = []
-        while avail:
-            bit = avail & -avail
-            avail ^= bit
-            values.append(bit.bit_length() - 1)
-        rng.shuffle(values)
-        return iter(values), row_free
-
-    # One frame per cell entered: its untried values and the row's free values.
-    stack = [candidates(0, full)]
+    draw_bits = [(i + 1).bit_length() for i in range(n)]  # per swap index below i + 1
+    # One list per cell filled: its untried values, the next one last.
+    stack: list[list[int]] = []
+    r = c = 0
+    row_free = full  # values free in row r before cell (r, c)
     while True:
-        r, c = divmod(len(stack) - 1, n)
-        untried, row_free = stack[-1]
-        v = next(untried, None)
-        if v is None:
-            stack.pop()
-            assert stack, "backtracking always completes"
-            r, c = divmod(len(stack) - 1, n)
-            col_free[c] ^= 1 << grid[r][c]
-            continue
+        avail = row_free & col_free[c]
+        if avail & (avail - 1):
+            # Shuffle the ascending candidates in reverse, so that pop() gives
+            # them in shuffled order: ascending index i is index last - i.
+            values = []
+            while avail:
+                v = avail.bit_length() - 1
+                avail ^= 1 << v
+                values.append(v)
+            last = len(values) - 1
+            for i in range(last, 0, -1):
+                k = draw_bits[i]
+                j = getrandbits(k)
+                while j > i:
+                    j = getrandbits(k)
+                values[last - i], values[last - j] = values[last - j], values[last - i]
+            v = values.pop()
+        elif avail:
+            v = avail.bit_length() - 1
+            values = []
+        else:
+            # Dead end: step back to the last cell with an untried value.
+            while True:
+                if c:
+                    c -= 1
+                else:
+                    r -= 1
+                    c = n - 1
+                    row_free = 0
+                bit = 1 << grid[r][c]
+                col_free[c] ^= bit
+                row_free ^= bit
+                values = stack.pop()
+                if values:
+                    v = values.pop()
+                    break
+        stack.append(values)
         bit = 1 << v
         grid[r][c] = v
         col_free[c] ^= bit
-        if len(stack) == n * n:
-            return tuple(tuple(row) for row in grid)
-        if c + 1 == n:
-            stack.append(candidates(0, full))
-        else:
-            stack.append(candidates(c + 1, row_free ^ bit))
+        row_free ^= bit
+        c += 1
+        if c == n:
+            if r + 1 == n:
+                return tuple(tuple(row) for row in grid)
+            r += 1
+            c = 0
+            row_free = full
 
 
 def random_square(n: int, seed: int) -> Quasigroup:

@@ -7,6 +7,7 @@ documents.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 from .corpus import CorpusDescriptor
@@ -216,7 +217,19 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_int_table(value: object) -> bool:
+    """A list of lists of integers, with JSON's true and false not counted as integers."""
+    return (
+        isinstance(value, list)
+        and all(isinstance(row, list) for row in value)
+        and set(map(type, itertools.chain.from_iterable(value))) <= {int}
+    )
+
+
 def certificate_from_doc(doc: dict) -> Certificate:
+    table = doc["table"]
+    if not _is_int_table(table):
+        raise ParseError("certificate: table must be a list of lists of integers")
     a = doc["a"]
     if not _is_int(a):
         raise ParseError(f"certificate: a must be an integer, got {a!r}")
@@ -226,7 +239,7 @@ def certificate_from_doc(doc: dict) -> Certificate:
             raise ParseError(f"certificate: refutation pair {list(pair)!r} must be two integers")
     case = CaseId(parse_spec(doc["spec"]), UnitKind(doc["unit"]))
     return Certificate(
-        rows=tuple(tuple(r) for r in doc["table"]),
+        rows=tuple(tuple(r) for r in table),
         a=a,
         case=case,
         convention=parse_convention(doc["convention"]),
@@ -291,7 +304,13 @@ def _survey_from_doc(doc: dict) -> SurveyResult:
         if entry["status"] == "counterexample":
             statuses[case] = certificate_from_doc(entry["certificate"])
         elif entry["status"] == "no_counterexample":
-            statuses[case] = NoCounterexample(entry["max_order_checked"], entry["corpus"])
+            max_order, corpus_token = entry["max_order_checked"], entry["corpus"]
+            if not _is_int(max_order) or not isinstance(corpus_token, str):
+                raise ParseError(
+                    f"survey case {case.token}: max_order_checked must be an integer "
+                    f"and corpus a string, got {max_order!r} and {corpus_token!r}"
+                )
+            statuses[case] = NoCounterexample(max_order, corpus_token)
         else:
             raise ParseError(f"survey case {case.token}: bad status {entry['status']!r}")
     if len(statuses) != 1944:

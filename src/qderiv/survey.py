@@ -26,8 +26,9 @@ of the probe shortcut, so an unsound probe would surface as an impossible
 certificate.  Within one survey call each derived table is built and
 validated once and shared by every case and convention that gives the same
 (square, a, sigma, alpha, beta, gamma) (_Derivatives).  The convention
-agreement table builds the certificate of every minus under every
-convention the same way and keeps only the counts.
+agreement table keeps only the counts, so it builds no certificate: it
+checks the full derived table of every minus under every convention for
+the case's unit, which is exactly when a certificate could not be built.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .derivative import (
 )
 from .parastrophe import TRANSFER, ParastropheSym, apply_parastrophe, transfer_kind
 from .qcore import Quasigroup, QuasigroupError, TranslationKind, from_table
-from .units import UnitKind
+from .units import UnitKind, find_unit_in_table
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -430,13 +431,15 @@ class _Derivatives:
         return table
 
 
-def _survey_statuses(
+def _survey_kills(
     desc: CorpusDescriptor, conventions: Sequence[Convention]
-) -> Iterator[tuple[Convention, CaseId, Certificate | NoCounterexample]]:
-    """(convention, case, status) for every case under each convention, from one scan.
+) -> Iterator[tuple[Convention, CaseId, Kill | None, Rows | None]]:
+    """(convention, case, kill, derived) for every case under each convention, from one scan.
 
-    Every case with a counterexample gets its certificate built from the
-    full derived table, so an unsound probe raises SurveyError here.
+    ``kill`` is the minimal counterexample of the case's probe, or None when
+    there is none; ``derived`` is then None, and otherwise the full
+    derivative of the kill square at its a, the table that must refute the
+    case's unit (_Derivatives).
     """
     cases = all_cases()
     probe_of = {
@@ -445,27 +448,31 @@ def _survey_statuses(
     probes = {p for m in probe_of.values() for p in m.values()}
     kills = probe_scan(desc, probes)
     derivatives = _Derivatives()
-    none_found = NoCounterexample(desc.order, desc.token)
     for conv in conventions:
         for case in cases:
             kill = kills[probe_of[conv][case]]
-            if kill is None:
-                yield conv, case, none_found
-            else:
-                _, _, a, rows = kill
-                table = derivatives.table(kill, case.spec, conv)
-                yield conv, case, build_certificate(rows, a, case, conv, table)
+            derived = None if kill is None else derivatives.table(kill, case.spec, conv)
+            yield conv, case, kill, derived
 
 
 def run_survey_multi(
     desc: CorpusDescriptor, conventions: Sequence[Convention]
 ) -> dict[Convention, SurveyResult]:
-    """One corpus pass shared by several conventions."""
+    """One corpus pass shared by several conventions.
+
+    Every case with a counterexample gets its certificate built from the
+    full derived table, so an unsound probe raises SurveyError here.
+    """
     statuses: dict[Convention, dict[CaseId, Certificate | NoCounterexample]] = {
         conv: {} for conv in conventions
     }
-    for conv, case, status in _survey_statuses(desc, conventions):
-        statuses[conv][case] = status
+    none_found = NoCounterexample(desc.order, desc.token)
+    for conv, case, kill, derived in _survey_kills(desc, conventions):
+        if kill is None:
+            statuses[conv][case] = none_found
+        else:
+            _, _, a, rows = kill
+            statuses[conv][case] = build_certificate(rows, a, case, conv, derived)
     return {conv: SurveyResult(conv, desc, s) for conv, s in statuses.items()}
 
 
@@ -624,14 +631,26 @@ def convention_agreement_table(
     """Agreement counts against the reference table for all eight conventions.
 
     No convention is singled out; the counts are evidence for the reader.
-    Every minus is backed by a certificate built as in run_survey_multi,
-    which raises SurveyError on an unsound probe; only the signs are kept.
-    ``jobs`` is accepted for existing callers and ignored: the scan is
+    Only signs are kept, so no certificate is built: the full derived table
+    of every minus is checked for the case's unit instead (an identity row,
+    an identity column or a constant diagonal), the condition on which
+    build_certificate raises, and an unsound probe raises SurveyError here
+    too.  ``jobs`` is accepted for existing callers and ignored: the scan is
     sequential.
     """
     signs: dict[Convention, dict[CaseId, str]] = {conv: {} for conv in all_conventions()}
-    for conv, case, status in _survey_statuses(desc, list(signs)):
-        signs[conv][case] = _sign(status)
+    for conv, case, kill, derived in _survey_kills(desc, list(signs)):
+        if kill is None:
+            signs[conv][case] = PLUS
+            continue
+        u = find_unit_in_table(derived, case.unit)
+        if u is not None:
+            _, _, a, _ = kill
+            raise SurveyError(
+                f"probe unsound: candidate {u} is a {case.unit.token}-unit "
+                f"for case {case.token} at a={a}"
+            )
+        signs[conv][case] = MINUS
     return {
         conv.token: agreement_counts(SignTable(s), paper) for conv, s in signs.items()
     }

@@ -25,41 +25,40 @@ class UnitProfile:
     middle: int | None
 
 
-def left_unit(q: Quasigroup) -> int | None:
-    """The unique f with f*x = x for all x, if any.
+def find_unit_in_table(table: tuple[tuple[int, ...], ...], kind: UnitKind) -> int | None:
+    """The unit of the given kind in a Cayley table, or None.
 
-    Two identity rows would repeat values in columns, so at most one exists.
+    A left unit f is the row equal to the identity (f*x = x), a right unit
+    e the column equal to it (x*e = x), and a middle unit the value of a
+    constant diagonal (x*x = s).  Two identity rows or columns would repeat
+    values, so at most one of each exists.  Rows must be tuples, as in
+    Quasigroup.mul_table: a list never equals the identity tuple.
     """
-    for f in range(q.n):
-        row = q.mul_table[f]
-        if all(row[x] == x for x in range(q.n)):
-            return f
-    return None
+    ident = tuple(range(len(table)))
+    if kind is UnitKind.MIDDLE:
+        diagonal = {row[x] for x, row in enumerate(table)}
+        return diagonal.pop() if len(diagonal) == 1 else None
+    lines = table if kind is UnitKind.LEFT else tuple(zip(*table))
+    return lines.index(ident) if ident in lines else None
+
+
+def left_unit(q: Quasigroup) -> int | None:
+    """The unique f with f*x = x for all x, if any."""
+    return find_unit_in_table(q.mul_table, UnitKind.LEFT)
 
 
 def right_unit(q: Quasigroup) -> int | None:
     """The unique e with x*e = x for all x, if any."""
-    for e in range(q.n):
-        if all(q.mul_table[x][e] == x for x in range(q.n)):
-            return e
-    return None
+    return find_unit_in_table(q.mul_table, UnitKind.RIGHT)
 
 
 def middle_unit(q: Quasigroup) -> int | None:
     """The constant diagonal value s = x*x, if the diagonal is constant."""
-    s = q.mul_table[0][0]
-    for x in range(1, q.n):
-        if q.mul_table[x][x] != s:
-            return None
-    return s
+    return find_unit_in_table(q.mul_table, UnitKind.MIDDLE)
 
 
 def find_unit(q: Quasigroup, kind: UnitKind) -> int | None:
-    if kind is UnitKind.LEFT:
-        return left_unit(q)
-    if kind is UnitKind.RIGHT:
-        return right_unit(q)
-    return middle_unit(q)
+    return find_unit_in_table(q.mul_table, kind)
 
 
 def unit_profile(q: Quasigroup) -> UnitProfile:

@@ -197,6 +197,23 @@ def test_diff_paper_rejects_a_certificate_a_that_is_not_an_integer(tmp_path, cap
     assert captured.err.startswith("error: ") and captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "status, field, bad",
+    [("counterexample", "table", "x"), ("no_counterexample", "max_order_checked", None)],
+)
+def test_diff_paper_rejects_mistyped_survey_entries(tmp_path, capsys, status, field, bad):
+    path = tmp_path / "survey.json"
+    assert run(["survey", "--corpus", "exhaustive:3", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    entry = next(e for e in doc["cases"] if e["status"] == status)
+    (entry["certificate"] if status == "counterexample" else entry)[field] = bad
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["diff-paper", str(path), "--skip-convention-scan"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
 def test_survey_random_corpus_orders(tmp_path, capsys):
     # order 32 used to overflow the stack; orders above 256 are refused
     out = tmp_path / "survey.json"

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import random
 
 import pytest
 
@@ -186,6 +187,51 @@ def test_random_rows_are_unchanged():
         for seed in (0, 1, 2) if n < 24 else (1,):
             h.update(repr(random_rows(n, seed)).encode())
         assert h.hexdigest()[:16] == digest, n
+
+
+def shuffling_random_rows(n: int, seed: int) -> tuple[tuple[int, ...], ...]:
+    """The reference generator: the same search, shuffling with Random.shuffle."""
+    rng = random.Random(f"{n}:{seed}")
+    full = (1 << n) - 1
+    grid = [[0] * n for _ in range(n)]
+    col_free = [full] * n
+
+    def candidates(c, row_free):
+        avail = row_free & col_free[c]
+        values = []
+        while avail:
+            bit = avail & -avail
+            avail ^= bit
+            values.append(bit.bit_length() - 1)
+        rng.shuffle(values)
+        return iter(values), row_free
+
+    stack = [candidates(0, full)]
+    while True:
+        r, c = divmod(len(stack) - 1, n)
+        untried, row_free = stack[-1]
+        v = next(untried, None)
+        if v is None:
+            stack.pop()
+            r, c = divmod(len(stack) - 1, n)
+            col_free[c] ^= 1 << grid[r][c]
+            continue
+        bit = 1 << v
+        grid[r][c] = v
+        col_free[c] ^= bit
+        if len(stack) == n * n:
+            return tuple(tuple(row) for row in grid)
+        if c + 1 == n:
+            stack.append(candidates(0, full))
+        else:
+            stack.append(candidates(c + 1, row_free ^ bit))
+
+
+def test_random_rows_draw_like_random_shuffle():
+    cases = [(n, seed) for n in range(1, 21) for seed in range(50)]
+    cases += [(16, seed) for seed in range(1, 101)]  # the benchmark's order
+    for n, seed in cases:
+        assert random_rows(n, seed) == shuffling_random_rows(n, seed), (n, seed)
 
 
 def test_random_rows_does_not_depend_on_stack_depth():

@@ -216,3 +216,35 @@ def test_certificate_refutation_pairs_must_be_two_integers(u, mangle):
     refutation[u] = mangle(refutation[u][1])
     with pytest.raises(ParseError, match="must be two integers"):
         survey_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["x", None, 0, {}, [0], ["x"], [[0, "x"], [5]], [[0, True], [1, 0]], [[0.0, 1], [1, 0]]],
+)
+def test_certificate_table_must_be_a_list_of_lists_of_integers(bad):
+    doc = json.loads(survey_to_json(run_survey(EX3, CONVENTION_A)))
+    entry = next(e for e in doc["cases"] if e["status"] == "counterexample")
+    entry["certificate"]["table"] = bad
+    with pytest.raises(ParseError, match="table must be a list of lists of integers"):
+        survey_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("max_order_checked", None),
+        ("max_order_checked", True),
+        ("max_order_checked", "3"),
+        ("max_order_checked", 3.0),
+        ("corpus", None),
+        ("corpus", 3),
+        ("corpus", ["exhaustive:3"]),
+    ],
+)
+def test_no_counterexample_fields_are_type_checked(field, bad):
+    doc = json.loads(survey_to_json(run_survey(EX3, CONVENTION_A)))
+    entry = next(e for e in doc["cases"] if e["status"] == "no_counterexample")
+    entry[field] = bad
+    with pytest.raises(ParseError, match="max_order_checked must be an integer and corpus a string"):
+        survey_from_json(json.dumps(doc))

@@ -389,17 +389,23 @@ def _eight_surveys(desc):
     ids=["run_survey_multi", "convention_agreement_table"],
 )
 def test_unsound_probe_raises_on_both_paths(monkeypatch, scan):
-    # a proved case compiled to a refutable probe must be caught by its certificate
-    proved = next(c for c in all_cases() if case_proof(c, CONVENTION_A) is not None)
+    # a proved case compiled to a refutable probe must be caught by the unit
+    # its derived table has, through its certificate or the convention
+    # table's unit check, for each kind of unit
     refutable = case_probe(case("23:L,Pi,E/f"), CONVENTION_A)
     real = survey.case_probe
+    for unit in UnitKind:
+        proved = next(
+            c for c in all_cases() if c.unit is unit and case_proof(c, CONVENTION_A) is not None
+        )
 
-    def unsound(c, conv):
-        return refutable if (c, conv) == (proved, CONVENTION_A) else real(c, conv)
+        def unsound(c, conv, proved=proved):
+            return refutable if (c, conv) == (proved, CONVENTION_A) else real(c, conv)
 
-    monkeypatch.setattr(survey, "case_probe", unsound)
-    with pytest.raises(SurveyError, match="probe unsound"):
-        scan(EX4)
+        monkeypatch.setattr(survey, "case_probe", unsound)
+        message = f"probe unsound: candidate \\d+ is a {unit.token}-unit for case {proved.token} "
+        with pytest.raises(SurveyError, match=message):
+            scan(EX4)
 
 
 def test_shared_derived_tables_give_the_uncached_certificates():
