@@ -23,7 +23,6 @@ from .derivative import (
     middle_derivative,
     middle_inverse_derivative,
     right_derivative,
-    theorem_check,
 )
 from .corpus import (
     CorpusDescriptor,
@@ -69,7 +68,6 @@ __all__ = [
     "random_square",
     "right_derivative",
     "right_unit",
-    "theorem_check",
     "unit_profile",
     "verify_translation_transfer",
 ]

@@ -22,18 +22,19 @@ from .derivative import (
     middle_derivative,
     middle_inverse_derivative,
     right_derivative,
-    theorem_check,
 )
 from .parastrophe import ParastropheSym, apply_parastrophe, verify_translation_transfer
 from .qcore import Quasigroup, QuasigroupError, from_table
 from .survey import (
     CaseId,
     Certificate,
+    case_probe,
     case_proof,
     convention_agreement_table,
     diff_against_paper,
     embedded_paper_table,
     minimal_counterexample,
+    probe_scan,
     run_survey,
 )
 from .units import UnitKind, left_unit, right_unit, unit_profile
@@ -273,26 +274,33 @@ def verify_table1(desc: CorpusDescriptor | None = None) -> bool:
     return ok
 
 
+# The three unit-existence claims, by claim number.
+THEOREM_CASES = {
+    1: _parse_case("e:L,L,E/f"),
+    2: _parse_case("12:L,L,E/e"),
+    3: _parse_case("23:L,Li,E/f"),
+}
+
+
 def verify_theorem(claim: int, desc: CorpusDescriptor | None = None) -> bool:
     """Per-convention unit existence for one claim; informational, never a FAIL.
 
     The claims' status genuinely depends on the convention, so one line is
-    printed per convention instead of asserting a single truth.
+    printed per convention instead of asserting a single truth.  The verdict
+    comes from the probe scan: the first counterexample is the kill of the
+    claim's probe under that convention, the first (order, square, a) whose
+    derivative lacks the unit (survey.probe_scan).
     """
     desc = desc or CorpusDescriptor("exhaustive", 4)
-    for conv in all_conventions():
-        counterexample = None
-        for order, idx, q in corpus_mod.iter_corpus(desc):
-            for a in range(q.n):
-                if theorem_check(q, a, claim, conv) is None:
-                    counterexample = (order, idx, a)
-                    break
-            if counterexample:
-                break
-        if counterexample is None:
+    case = THEOREM_CASES[claim]
+    probes = {conv: case_probe(case, conv) for conv in all_conventions()}
+    kills = probe_scan(desc, probes.values())
+    for conv, probe in probes.items():
+        kill = kills[probe]
+        if kill is None:
             print(f"claim {claim} under {conv.token}: no counterexample on {desc.token}")
         else:
-            order, idx, a = counterexample
+            order, idx, a, _ = kill
             print(
                 f"claim {claim} under {conv.token}: first counterexample at "
                 f"order {order}, square {idx}, a={a}"

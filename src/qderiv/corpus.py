@@ -78,16 +78,15 @@ class CorpusDescriptor:
                 raise ValueError(f"bad corpus descriptor {text!r}")
             return cls(mode, order)
         if mode == "random":
-            seed = count = None
+            fields: dict[str, int] = {}
             for part in parts[2:]:
                 key, _, value = part.partition("=")
-                if key == "seed":
-                    seed = int(value)
-                elif key == "count":
-                    count = int(value)
-                else:
+                if key not in ("seed", "count"):
                     raise ValueError(f"bad corpus field {part!r} in {text!r}")
-            return cls(mode, order, seed=seed, count=count)
+                if key in fields:
+                    raise ValueError(f"repeated corpus field {key!r} in {text!r}")
+                fields[key] = int(value)
+            return cls(mode, order, seed=fields.get("seed"), count=fields.get("count"))
         raise ValueError(f"bad corpus mode {mode!r} in {text!r}")
 
     @property

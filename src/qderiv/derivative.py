@@ -18,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .parastrophe import ParastropheSym, apply_parastrophe
+from .parastrophe import KINDS, ROW_ORDER, ParastropheSym, apply_parastrophe
 from .qcore import Quasigroup, TranslationKind, from_table, invert_images, translation_images
-from .units import UnitKind, find_unit
 
 
 @dataclass(frozen=True)
@@ -98,18 +97,7 @@ def all_conventions() -> tuple[Convention, ...]:
 
 # Block layout of the 648 specs: for each base kind k, the patterns
 # (k,*,E), (k,E,*), (E,k,*) with * running over all six kinds, then the six
-# parastrophe rows per block.
-_KIND_ORDER = tuple(TranslationKind)[1:]  # L, Li, R, Ri, P, Pi: all but E
-
-_SIGMA_ORDER = (
-    ParastropheSym.ID,
-    ParastropheSym.S12,
-    ParastropheSym.S23,
-    ParastropheSym.S132,
-    ParastropheSym.S13,
-    ParastropheSym.S123,
-)
-
+# parastrophe rows per block (parastrophe.KINDS and ROW_ORDER).
 _E = TranslationKind.E
 
 
@@ -117,9 +105,9 @@ _E = TranslationKind.E
 def enumerate_triples() -> tuple[IsotopyTriple, ...]:
     """The 108 isotopy triples in canonical block order."""
     triples = []
-    for k in _KIND_ORDER:
+    for k in KINDS:
         for pattern in ("ends", "middle", "start"):
-            for m in _KIND_ORDER:
+            for m in KINDS:
                 if pattern == "ends":
                     triples.append(IsotopyTriple(k, m, _E))
                 elif pattern == "middle":
@@ -135,7 +123,7 @@ def enumerate_specs() -> tuple[DerivativeSpec, ...]:
     return tuple(
         DerivativeSpec(sigma, triple)
         for triple in enumerate_triples()
-        for sigma in _SIGMA_ORDER
+        for sigma in ROW_ORDER
     )
 
 
@@ -213,38 +201,3 @@ def middle_derivative(q: Quasigroup, a: int) -> Quasigroup:
 def middle_inverse_derivative(q: Quasigroup, a: int) -> Quasigroup:
     """x . y = (x/a) * (a*y); a right loop."""
     return apply_derivative(q, a, MIDDLE_INVERSE_DERIVATIVE_SPEC, CONVENTION_A)
-
-
-# The three unit-existence claims checked by theorem_check: spec and the
-# claimed unit kind.
-THEOREM_CLAIMS: dict[int, tuple[DerivativeSpec, UnitKind]] = {
-    1: (
-        _classical(ParastropheSym.ID, TranslationKind.L, TranslationKind.L, _E),
-        UnitKind.LEFT,
-    ),
-    2: (
-        _classical(ParastropheSym.S12, TranslationKind.L, TranslationKind.L, _E),
-        UnitKind.RIGHT,
-    ),
-    3: (
-        _classical(ParastropheSym.S23, TranslationKind.L, TranslationKind.LINV, _E),
-        UnitKind.LEFT,
-    ),
-}
-
-
-def theorem_check(
-    q: Quasigroup, a: int, claim: int, conv: Convention = CONVENTION_A
-) -> int | None:
-    """Search for the claimed unit of the claim's derivative; None if absent.
-
-    Existence is searched rather than evaluating any closed-form witness:
-    the claims' published witnesses treat a permutation power as an element
-    and have no element-level meaning.
-    """
-    if claim not in THEOREM_CLAIMS:
-        raise ValueError(f"claim must be 1, 2 or 3, got {claim}")
-    spec, kind = THEOREM_CLAIMS[claim]
-    return find_unit(apply_derivative(q, a, spec, conv), kind)
-
-

@@ -58,6 +58,9 @@ _ROLE_MAP = {
 
 _SYM_BY_ROLE = {v: k for k, v in _ROLE_MAP.items()}
 
+# The six translation kinds, all but E: L, Li, R, Ri, P, Pi.
+KINDS = tuple(TranslationKind)[1:]
+
 # Table rows in display order: xy, yx, x\y, y\x, y/x, x/y.
 ROW_ORDER = (
     ParastropheSym.ID,
@@ -103,13 +106,11 @@ def _transferred(kind: TranslationKind, pi: tuple[int, int, int]) -> Translation
     return TranslationKind.with_roles(tuple(pi.index(role) for role in kind.roles))
 
 
-_KINDS = tuple(TranslationKind)[1:]  # all but E
-
 # Translation transfer: for parastrophe B of q, the translation of B of a
 # given kind at a equals a (possibly different) kind of translation of q at
 # the same a.  TRANSFER[sigma][kind] names that kind of q.
 TRANSFER: dict[ParastropheSym, dict[TranslationKind, TranslationKind]] = {
-    sigma: {kind: _transferred(kind, pi) for kind in _KINDS}
+    sigma: {kind: _transferred(kind, pi) for kind in KINDS}
     for sigma, pi in _ROLE_MAP.items()
 }
 
@@ -135,7 +136,7 @@ def verify_translation_transfer(q: Quasigroup) -> tuple[TransferCell, ...]:
     """Check all 36 (kind, parastrophe) transfer cells at every element a."""
     cells = []
     paras = {s: apply_parastrophe(q, s) for s in ParastropheSym}
-    for kind in _KINDS:
+    for kind in KINDS:
         for sigma in ParastropheSym:
             designated = TRANSFER[sigma][kind]
             ok, failure = True, None

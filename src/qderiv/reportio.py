@@ -25,7 +25,6 @@ from .survey import (
     DiffReport,
     NoCounterexample,
     SignTable,
-    SurveyError,
     SurveyResult,
     UNIT_ORDER,
 )
@@ -302,7 +301,13 @@ def _survey_from_doc(doc: dict) -> SurveyResult:
     for entry in doc["cases"]:
         case = CaseId(parse_spec(entry["spec"]), UnitKind(entry["unit"]))
         if entry["status"] == "counterexample":
-            statuses[case] = certificate_from_doc(entry["certificate"])
+            cert = certificate_from_doc(entry["certificate"])
+            if cert.case != case or cert.convention != convention:
+                raise ParseError(
+                    f"survey case {case.token} under {convention.token}: certificate "
+                    f"is for {cert.case.token} under {cert.convention.token}"
+                )
+            statuses[case] = cert
         elif entry["status"] == "no_counterexample":
             max_order, corpus_token = entry["max_order_checked"], entry["corpus"]
             if not _is_int(max_order) or not isinstance(corpus_token, str):
@@ -338,22 +343,6 @@ def _block_header(triple: IsotopyTriple) -> str:
         _COMPONENT_DISPLAY[triple.beta],
         _COMPONENT_DISPLAY[triple.gamma],
     )
-
-
-def emit_table_markdown(table: SignTable, title: str = "Unit existence signs") -> str:
-    """All 108 blocks with rows xy, yx, x\\y, y\\x, y/x, x/y; '?' for unknown."""
-    if len(table) != 1944:
-        raise SurveyError(f"shape mismatch: {len(table)} cells, want 1944")
-    lines = [f"# {title}", ""]
-    for triple in enumerate_triples():
-        lines.append(f"## {_block_header(triple)}")
-        lines.append("")
-        for sigma in ROW_ORDER:
-            spec = DerivativeSpec(sigma, triple)
-            f, e, s = (table.sign(CaseId(spec, u)) for u in UNIT_ORDER)
-            lines.append(f"{ROW_LABELS[sigma]}: {f} {e} {s}")
-        lines.append("")
-    return "\n".join(lines).rstrip("\n") + "\n"
 
 
 def _diff_cell_text(computed: str, paper: str, status: str) -> str:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -328,6 +329,13 @@ def _unit_equation_holds(
     return table[x][x] == u
 
 
+def _unsound(case: CaseId, u: int, a: int) -> SurveyError:
+    return SurveyError(
+        f"probe unsound: candidate {u} is a {case.unit.token}-unit "
+        f"for case {case.token} at a={a}"
+    )
+
+
 def build_certificate(
     rows: Rows, a: int, case: CaseId, conv: Convention, table: Rows | None = None
 ) -> Certificate:
@@ -349,10 +357,7 @@ def build_certificate(
             None,
         )
         if witness is None:
-            raise SurveyError(
-                f"probe unsound: candidate {u} is a {case.unit.token}-unit "
-                f"for case {case.token} at a={a}"
-            )
+            raise _unsound(case, u, a)
         refutation.append((u, witness))
     return Certificate(
         rows=tuple(tuple(r) for r in rows),
@@ -570,26 +575,28 @@ class DiffReport:
     convention_agreements: dict[str, tuple[int, int, int]] | None  # token -> (agree, disagree, unknown)
 
     def counts(self) -> tuple[int, int, int]:
-        agree = sum(1 for c in self.cells if c.status == AGREE)
-        disagree = sum(1 for c in self.cells if c.status == DISAGREE)
-        unknown = sum(1 for c in self.cells if c.status == PAPER_UNKNOWN)
-        return agree, disagree, unknown
+        return _tally(c.status for c in self.cells)
+
+
+def agreement_statuses(computed: SignTable, paper: SignTable) -> dict[CaseId, str]:
+    """AGREE, DISAGREE or PAPER_UNKNOWN per cell; a '?' reference sign is unknown."""
+    if len(computed) != len(paper):
+        raise SurveyError(f"shape mismatch: {len(computed)} vs {len(paper)} cells")
+    status = {}
+    for case, sign in computed.signs.items():
+        p = paper.sign(case)
+        status[case] = PAPER_UNKNOWN if p == UNKNOWN else AGREE if p == sign else DISAGREE
+    return status
+
+
+def _tally(statuses: Iterable[str]) -> tuple[int, int, int]:
+    n = Counter(statuses)
+    return n[AGREE], n[DISAGREE], n[PAPER_UNKNOWN]
 
 
 def agreement_counts(computed: SignTable, paper: SignTable) -> tuple[int, int, int]:
     """(agree, disagree, paper-unknown) over all 1944 cells."""
-    if len(computed) != len(paper):
-        raise SurveyError(f"shape mismatch: {len(computed)} vs {len(paper)} cells")
-    agree = disagree = unknown = 0
-    for case, sign in computed.signs.items():
-        p = paper.sign(case)
-        if p == UNKNOWN:
-            unknown += 1
-        elif p == sign:
-            agree += 1
-        else:
-            disagree += 1
-    return agree, disagree, unknown
+    return _tally(agreement_statuses(computed, paper).values())
 
 
 def diff_against_paper(
@@ -603,23 +610,12 @@ def diff_against_paper(
     the computed sign is minus carries its certificate.
     """
     computed = compute_table(survey)
-    if len(computed) != len(paper):
-        raise SurveyError(f"shape mismatch: {len(computed)} vs {len(paper)} cells")
+    statuses = agreement_statuses(computed, paper)
     cells = []
     for case in all_cases():
-        c, p = computed.sign(case), paper.sign(case)
-        if p == UNKNOWN:
-            status = PAPER_UNKNOWN
-        elif p == c:
-            status = AGREE
-        else:
-            status = DISAGREE
-        cert = None
-        if status == DISAGREE and c == MINUS:
-            status_obj = survey.statuses[case]
-            assert isinstance(status_obj, Certificate)
-            cert = status_obj
-        cells.append(DiffCell(case, c, p, status, cert))
+        c, status = computed.sign(case), statuses[case]
+        cert = survey.statuses[case] if status == DISAGREE and c == MINUS else None
+        cells.append(DiffCell(case, c, paper.sign(case), status, cert))
     return DiffReport(survey.convention, survey.corpus, tuple(cells), convention_agreements)
 
 
@@ -645,11 +641,7 @@ def convention_agreement_table(
             continue
         u = find_unit_in_table(derived, case.unit)
         if u is not None:
-            _, _, a, _ = kill
-            raise SurveyError(
-                f"probe unsound: candidate {u} is a {case.unit.token}-unit "
-                f"for case {case.token} at a={a}"
-            )
+            raise _unsound(case, u, kill[2])
         signs[conv][case] = MINUS
     return {
         conv.token: agreement_counts(SignTable(s), paper) for conv, s in signs.items()

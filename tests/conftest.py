@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import pytest
 
-from qderiv.qcore import Quasigroup, from_table
+from qderiv.derivative import DerivativeSpec, IsotopyTriple
+from qderiv.parastrophe import ParastropheSym
+from qderiv.qcore import Quasigroup, TranslationKind, from_table
+from qderiv.units import UnitKind
 
 Z3_ROWS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 # a second order-3 quasigroup: left unit 1, constant diagonal 1
@@ -10,6 +13,14 @@ Q2_ROWS = ((1, 2, 0), (0, 1, 2), (2, 0, 1))
 # the two derived tables of the built-in worked example (a=0, 23:L,Pi,E)
 DERIVED_1 = ((0, 2, 1), (2, 1, 0), (1, 0, 2))
 DERIVED_2 = ((1, 2, 0), (2, 0, 1), (0, 1, 2))
+
+_L, _LI, _E = TranslationKind.L, TranslationKind.LINV, TranslationKind.E
+# The three claims of `verify theorem`: the derivative spec and the unit it claims.
+THEOREM_CLAIMS = {
+    1: (DerivativeSpec(ParastropheSym.ID, IsotopyTriple(_L, _L, _E)), UnitKind.LEFT),
+    2: (DerivativeSpec(ParastropheSym.S12, IsotopyTriple(_L, _L, _E)), UnitKind.RIGHT),
+    3: (DerivativeSpec(ParastropheSym.S23, IsotopyTriple(_L, _LI, _E)), UnitKind.LEFT),
+}
 
 
 @pytest.fixture

@@ -4,9 +4,12 @@ import json
 
 import pytest
 
-from conftest import Z3_ROWS
+from conftest import THEOREM_CLAIMS, Z3_ROWS
 from qderiv.cli import run
+from qderiv.corpus import CorpusDescriptor, iter_corpus
+from qderiv.derivative import all_conventions, apply_derivative
 from qderiv.reportio import parse_cayley, survey_from_json
+from qderiv.units import find_unit
 
 Z3_TEXT = "3\n0 1 2\n1 2 0\n2 0 1\n"
 
@@ -178,6 +181,45 @@ def test_verify_theorem_prints_per_convention_lines(capsys):
     assert len(lines) == 8
 
 
+def _theorem_oracle(desc: CorpusDescriptor) -> str:
+    """What verify theorem prints, from a search of the full derivatives.
+
+    For each claim and convention, the first (order, square, a) in corpus
+    order whose derivative lacks the claimed unit.
+    """
+    lines = []
+    for claim, (spec, kind) in THEOREM_CLAIMS.items():
+        for conv in all_conventions():
+            counterexample = next(
+                (
+                    (order, idx, a)
+                    for order, idx, q in iter_corpus(desc)
+                    for a in range(q.n)
+                    if find_unit(apply_derivative(q, a, spec, conv), kind) is None
+                ),
+                None,
+            )
+            if counterexample is None:
+                lines.append(f"claim {claim} under {conv.token}: no counterexample on {desc.token}")
+            else:
+                order, idx, a = counterexample
+                lines.append(
+                    f"claim {claim} under {conv.token}: first counterexample at "
+                    f"order {order}, square {idx}, a={a}"
+                )
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize(
+    "corpus", [None, "exhaustive:3", "reduced:4", "random:7:seed=3:count=20"]
+)
+def test_verify_theorem_matches_the_full_derivative_search(capsys, corpus):
+    argv = ["verify", "theorem"] + (["--corpus", corpus] if corpus else [])
+    assert run(argv) == 0
+    desc = CorpusDescriptor.parse(corpus or "exhaustive:4")
+    assert capsys.readouterr().out == _theorem_oracle(desc)
+
+
 def test_usage_error_exit_code(capsys):
     assert run(["derive", "/nonexistent", "--a", "0", "--spec", "bad spec"]) == 1
     assert run(["no-such-command"]) == 1
@@ -223,3 +265,22 @@ def test_survey_random_corpus_orders(tmp_path, capsys):
     assert run(["survey", "--corpus", "random:257:seed=1:count=1"]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.out == ""
+
+
+def test_diff_paper_rejects_a_certificate_filed_under_another_case(tmp_path, capsys):
+    path = tmp_path / "survey.json"
+    assert run(["survey", "--corpus", "exhaustive:3", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    first, second = [e for e in doc["cases"] if e["status"] == "counterexample"][:2]
+    first["certificate"], second["certificate"] = second["certificate"], first["certificate"]
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["diff-paper", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
+def test_repeated_corpus_field_is_an_error(capsys):
+    assert run(["survey", "--corpus", "random:8:seed=1:count=5:seed=2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: repeated corpus field") and captured.out == ""

@@ -103,6 +103,14 @@ def test_descriptor_rejects_bad_input():
         CorpusDescriptor.parse("random:8")  # needs seed and count
     with pytest.raises(ValueError):
         CorpusDescriptor.parse("weird:4")
+    for text in (
+        "random:8:seed=1:count=5:seed=2",
+        "random:8:seed=1:count=5:count=6",
+        "random:8:seed=1:seed=1:count=5",
+        "random:8:count=5:seed=1:count=5",
+    ):
+        with pytest.raises(ValueError, match="repeated corpus field"):
+            CorpusDescriptor.parse(text)
 
 
 def test_iter_corpus_rows_spans_orders_in_order():

@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import DERIVED_1, DERIVED_2, small_corpus
+from conftest import DERIVED_1, DERIVED_2, THEOREM_CLAIMS, small_corpus
+from qderiv.cli import THEOREM_CASES, run
 from qderiv.corpus import enumerate_all, random_square
 from qderiv.derivative import (
     CONVENTION_A,
@@ -17,11 +18,11 @@ from qderiv.derivative import (
     middle_derivative,
     middle_inverse_derivative,
     right_derivative,
-    theorem_check,
 )
 from qderiv.parastrophe import ParastropheSym
 from qderiv.qcore import TranslationKind, check_identities, from_table, translation_images
-from qderiv.units import left_unit, right_unit
+from qderiv.survey import CaseId
+from qderiv.units import find_unit, left_unit, right_unit
 
 E, L, LI, R, RI, P, PI = (
     TranslationKind.E,
@@ -199,15 +200,20 @@ def test_translation_source_changes_other_parastrophes():
     assert differing > 0
 
 
-def test_theorem_check_examples(z3):
-    assert theorem_check(z3, 1, 1, CONVENTION_A) == 1
+def test_theorem_check_examples(z3, capsys):
+    def claimed_unit(q, a, claim):
+        s, kind = THEOREM_CLAIMS[claim]
+        return find_unit(apply_derivative(q, a, s, CONVENTION_A), kind)
+
+    assert claimed_unit(z3, 1, 1) == 1
     for a in range(3):
-        assert theorem_check(z3, a, 3, CONVENTION_A) is not None
+        assert claimed_unit(z3, a, 3) is not None
     one = from_table([[0]])
     for claim in (1, 2, 3):
-        assert theorem_check(one, 0, claim, CONVENTION_A) == 0
-    with pytest.raises(ValueError):
-        theorem_check(z3, 0, 4, CONVENTION_A)
+        assert claimed_unit(one, 0, claim) == 0
+    # verify theorem checks exactly these three claims and refuses any other
+    assert THEOREM_CASES == {c: CaseId(*claim) for c, claim in THEOREM_CLAIMS.items()}
+    assert run(["verify", "theorem", "--claim", "4"]) == 1
 
 
 def test_convention_tokens_and_alias():

@@ -16,7 +16,6 @@ from qderiv.reportio import (
     diff_report_markdown,
     emit_cayley,
     emit_paper_table,
-    emit_table_markdown,
     parse_cayley,
     parse_convention,
     parse_paper_table,
@@ -25,7 +24,6 @@ from qderiv.reportio import (
     survey_to_json,
 )
 from qderiv.survey import (
-    compute_table,
     convention_agreement_table,
     diff_against_paper,
     embedded_paper_table,
@@ -158,15 +156,6 @@ def test_survey_json_malformed_documents_raise_parse_error():
             survey_from_json(json.dumps(bad))
 
 
-def test_emit_table_markdown_layout():
-    text = emit_table_markdown(embedded_paper_table(), title="Reference signs")
-    assert text.startswith("# Reference signs\n")
-    assert "## (L_a, L_a, ε)" in text
-    assert "\nxy: + - -\n" in text  # first block, first row
-    assert text.count("##") == 108
-    assert "?" in text  # the reference-unknown cell renders as ?
-
-
 def test_diff_report_markdown_contents():
     survey = run_survey(EX3, CONVENTION_A)
     counts = convention_agreement_table(EX3, embedded_paper_table())
@@ -180,13 +169,6 @@ def test_diff_report_markdown_contents():
     assert "## Certificates for disagreements" in text
     # deterministic: emitting twice gives identical bytes
     assert text == diff_report_markdown(report)
-
-
-def test_computed_table_emit_shape():
-    survey = run_survey(EX3, CONVENTION_A)
-    text = emit_table_markdown(compute_table(survey), title="Computed signs")
-    assert text.count("##") == 108
-    assert "?" not in text.replace("x/y", "")  # computed tables have no unknowns
 
 
 @pytest.mark.parametrize("bad", ["0", True, 1.0])
@@ -247,4 +229,26 @@ def test_no_counterexample_fields_are_type_checked(field, bad):
     entry = next(e for e in doc["cases"] if e["status"] == "no_counterexample")
     entry[field] = bad
     with pytest.raises(ParseError, match="max_order_checked must be an integer and corpus a string"):
+        survey_from_json(json.dumps(doc))
+
+
+def _misfile(doc: dict, how: str) -> None:
+    """File a certificate under the wrong case or the wrong convention."""
+    first, second = [e for e in doc["cases"] if e["status"] == "counterexample"][:2]
+    cert = first["certificate"]
+    if how == "swap":  # two genuine certificates, each under the other's case
+        first["certificate"], second["certificate"] = second["certificate"], cert
+    elif how == "unit":
+        cert["unit"] = next(u for u in "fes" if u != cert["unit"])
+    else:
+        cert["convention"] = next(
+            c.token for c in all_conventions() if c.token != doc["convention"]
+        )
+
+
+@pytest.mark.parametrize("how", ["swap", "unit", "convention"])
+def test_certificate_must_be_filed_under_its_case_and_convention(how):
+    doc = json.loads(survey_to_json(run_survey(EX3, CONVENTION_A)))
+    _misfile(doc, how)
+    with pytest.raises(ParseError, match="certificate is for"):
         survey_from_json(json.dumps(doc))
