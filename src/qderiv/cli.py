@@ -28,6 +28,7 @@ from .qcore import Quasigroup, QuasigroupError, from_table
 from .survey import (
     CaseId,
     Certificate,
+    MalformedCertificateError,
     case_probe,
     case_proof,
     convention_agreement_table,
@@ -36,6 +37,7 @@ from .survey import (
     minimal_counterexample,
     probe_scan,
     run_survey,
+    verify_certificate,
 )
 from .units import UnitKind, left_unit, right_unit, unit_profile
 
@@ -168,6 +170,15 @@ def cmd_diff_paper(args) -> int:
     if not args.skip_convention_scan:
         agreements = convention_agreement_table(survey.corpus, paper)
     report = diff_against_paper(survey, paper, agreements)
+    for cert in (cell.certificate for cell in report.cells if cell.certificate is not None):
+        try:
+            refutes = verify_certificate(cert)
+        except MalformedCertificateError:
+            refutes = False
+        if not refutes:
+            raise reportio.ParseError(
+                f"certificate for {cert.case.token} under {cert.convention.token} does not refute"
+            )
     _write_text(args.out, reportio.diff_report_markdown(report))
     return EXIT_OK
 
@@ -412,10 +423,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (reportio.ParseError, QuasigroupError, OrderTooLargeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (reportio.ParseError, QuasigroupError, OrderTooLargeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -11,7 +11,14 @@ import itertools
 import json
 
 from .corpus import CorpusDescriptor
-from .derivative import Convention, DerivativeSpec, IsotopyTriple, enumerate_triples
+from .derivative import (
+    CONVENTION_A,
+    Convention,
+    DerivativeSpec,
+    IsotopyTriple,
+    all_conventions,
+    enumerate_triples,
+)
 from .parastrophe import ROW_LABELS, ROW_ORDER, ParastropheSym
 from .qcore import Quasigroup, TranslationKind, from_table
 from .survey import (
@@ -132,28 +139,23 @@ def parse_spec(text: str) -> DerivativeSpec:
 # Conventions: "args=direct|inverse;result=direct|inverse;trans=base|para",
 # alias "A".
 
-_TRANS_TOKENS = {"base": "base", "para": "parastrophe"}
+_CONVENTION_BY_TOKEN = {c.token: c for c in all_conventions()}
 
 
 def parse_convention(text: str) -> Convention:
     text = text.strip()
     if text == "A":
-        return Convention("direct", "inverse", "base")
+        return CONVENTION_A
     fields = {}
     for part in text.split(";"):
-        key, sep, value = part.partition("=")
-        if not sep:
-            raise ParseError(f"convention {text!r}: bad field {part!r}")
+        key, _, value = part.partition("=")
         fields[key.strip()] = value.strip()
     if set(fields) != {"args", "result", "trans"}:
         raise ParseError(f"convention {text!r}: need args, result and trans fields")
-    if fields["args"] not in ("direct", "inverse"):
-        raise ParseError(f"convention {text!r}: bad args value {fields['args']!r}")
-    if fields["result"] not in ("direct", "inverse"):
-        raise ParseError(f"convention {text!r}: bad result value {fields['result']!r}")
-    if fields["trans"] not in _TRANS_TOKENS:
-        raise ParseError(f"convention {text!r}: bad trans value {fields['trans']!r}")
-    return Convention(fields["args"], fields["result"], _TRANS_TOKENS[fields["trans"]])
+    token = f"args={fields['args']};result={fields['result']};trans={fields['trans']}"
+    if token not in _CONVENTION_BY_TOKEN:
+        raise ParseError(f"convention {text!r}: bad args, result or trans value")
+    return _CONVENTION_BY_TOKEN[token]
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +299,13 @@ def _survey_from_doc(doc: dict) -> SurveyResult:
         )
     convention = parse_convention(doc["convention"])
     corpus = CorpusDescriptor.parse(doc["corpus"])
+    orders = list(corpus.orders())
+    scanned = doc["orders_scanned"]
+    if scanned != orders or not all(map(_is_int, scanned)):
+        raise ParseError(
+            f"survey document: orders_scanned must be {orders} for {corpus.token}, got {scanned!r}"
+        )
+    none_found = NoCounterexample(corpus.order, corpus.token)
     statuses: dict[CaseId, Certificate | NoCounterexample] = {}
     for entry in doc["cases"]:
         case = CaseId(parse_spec(entry["spec"]), UnitKind(entry["unit"]))
@@ -310,12 +319,13 @@ def _survey_from_doc(doc: dict) -> SurveyResult:
             statuses[case] = cert
         elif entry["status"] == "no_counterexample":
             max_order, corpus_token = entry["max_order_checked"], entry["corpus"]
-            if not _is_int(max_order) or not isinstance(corpus_token, str):
+            if (max_order, corpus_token) != (corpus.order, corpus.token) or not _is_int(max_order):
                 raise ParseError(
                     f"survey case {case.token}: max_order_checked must be an integer "
-                    f"and corpus a string, got {max_order!r} and {corpus_token!r}"
+                    f"and corpus a string, the document's {corpus.order} and "
+                    f"{corpus.token!r}; got {max_order!r} and {corpus_token!r}"
                 )
-            statuses[case] = NoCounterexample(max_order, corpus_token)
+            statuses[case] = none_found
         else:
             raise ParseError(f"survey case {case.token}: bad status {entry['status']!r}")
     if len(statuses) != 1944:

@@ -52,7 +52,7 @@ from .derivative import (
     enumerate_specs,
 )
 from .parastrophe import TRANSFER, ParastropheSym, apply_parastrophe, transfer_kind
-from .qcore import Quasigroup, QuasigroupError, TranslationKind, from_table
+from .qcore import Quasigroup, QuasigroupError, TranslationKind, from_table, invert_images
 from .units import UnitKind, find_unit_in_table
 
 Rows = tuple[tuple[int, ...], ...]
@@ -217,30 +217,21 @@ def case_proof(case: CaseId, conv: Convention) -> str | None:
 
 
 # ---------------------------------------------------------------------------
-# The scan.  Translations are bytes; composition is bytes.translate.
+# The scan.  Translations are bytes, which bounds the order at 256;
+# composition is bytes.translate.  The live probes are one list: at each a, a
+# probe that fails is killed at that a and the rest go on to the next a.
 
 _PAD256 = bytes(range(256))
 _BATCH = 512  # squares pulled from the corpus at a time
 
 
-def _inv_bytes(p: bytes) -> bytes:
-    # qcore.invert_images on bytes: the scan needs bytes for translate and
-    # set membership, and inverts 2n rows and columns per square pulled.
-    out = bytearray(len(p))
-    for i, v in enumerate(p):
-        out[v] = i
-    return bytes(out)
-
-
-def _scan_square(
-    rows: Rows, pair_groups: Sequence[tuple[int, int, tuple[tuple[int, Probe], ...]]]
-) -> list[tuple[Probe, int]]:
-    """First failing a per probe on one square; probes grouped by (i, j)."""
+def _scan_square(rows: Rows, probes: Sequence[Probe]) -> list[tuple[Probe, int]]:
+    """(probe, first failing a) for each of the probes that fails on one square."""
     n = len(rows)
     mul = [bytes(r) for r in rows]
     cols = [bytes(c) for c in zip(*rows)]
-    ldiv = [_inv_bytes(r) for r in mul]
-    rdiv_cols = [_inv_bytes(c) for c in cols]
+    ldiv = [bytes(invert_images(r)) for r in rows]
+    rdiv_cols = [bytes(invert_images(c)) for c in cols]
     rdiv = [bytes(r) for r in zip(*rdiv_cols)]
     pcols = [bytes(c) for c in zip(*ldiv)]
     fams = (frozenset(mul), frozenset(cols), frozenset(pcols))
@@ -248,35 +239,20 @@ def _scan_square(
     ident = _PAD256[:n]
     pad = _PAD256[n:]
     kills: list[tuple[Probe, int]] = []
-    dead: set[Probe] = set()
-    n_alive = sum(len(g[2]) for g in pair_groups)
     for a in range(n):
         t = (ident, mul[a], ldiv[a], cols[a], rdiv_cols[a], pcols[a], rdiv[a])
         full = [perm + pad for perm in t]
-        for i, j, plist in pair_groups:
-            comp = None
-            for fam, probe in plist:
-                if probe in dead:
-                    continue
-                if comp is None:
-                    comp = t[j].translate(full[i])
-                if comp not in fams[fam]:
-                    kills.append((probe, a))
-                    dead.add(probe)
-                    n_alive -= 1
-        if not n_alive:
+        alive = []
+        for probe in probes:
+            i, j, fam = probe
+            if t[j].translate(full[i]) in fams[fam]:
+                alive.append(probe)
+            else:
+                kills.append((probe, a))
+        if not alive:
             break
+        probes = alive
     return kills
-
-
-def _group_probes(
-    probes: Iterable[Probe],
-) -> tuple[tuple[int, int, tuple[tuple[int, Probe], ...]], ...]:
-    by_pair: dict[tuple[int, int], list[tuple[int, Probe]]] = {}
-    for probe in sorted(set(probes)):
-        i, j, fam = probe
-        by_pair.setdefault((i, j), []).append((fam, probe))
-    return tuple((i, j, tuple(v)) for (i, j), v in sorted(by_pair.items()))
 
 
 Kill = tuple[int, int, int, Rows]  # (order, stream index, a, rows)
@@ -296,22 +272,17 @@ def probe_scan(desc: CorpusDescriptor, probes: Iterable[Probe]) -> dict[Probe, K
     desc.check_refutable()
     stream = iter_corpus_rows(desc)
     results: dict[Probe, Kill | None] = {p: None for p in probes}
-    live = {p for p in results if tautology_proof(p) is None}
-    groups = _group_probes(live)
+    live = sorted(p for p in results if tautology_proof(p) is None)
     while live:
         batch = list(itertools.islice(stream, _BATCH))
         if not batch:
             break
         for order, idx, rows in batch:
-            kills = _scan_square(rows, groups)
-            if not kills:
-                continue
-            for probe, a in kills:
+            for probe, a in _scan_square(rows, live):
                 results[probe] = (order, idx, a, rows)
-                live.discard(probe)
+            live = [p for p in live if results[p] is None]
             if not live:
                 break
-            groups = _group_probes(live)
     return results
 
 

@@ -241,7 +241,12 @@ def test_diff_paper_rejects_a_certificate_a_that_is_not_an_integer(tmp_path, cap
 
 @pytest.mark.parametrize(
     "status, field, bad",
-    [("counterexample", "table", "x"), ("no_counterexample", "max_order_checked", None)],
+    [
+        ("counterexample", "table", "x"),
+        ("no_counterexample", "max_order_checked", None),
+        ("no_counterexample", "max_order_checked", 99),
+        ("no_counterexample", "corpus", "random:8:seed=1:count=5"),
+    ],
 )
 def test_diff_paper_rejects_mistyped_survey_entries(tmp_path, capsys, status, field, bad):
     path = tmp_path / "survey.json"
@@ -284,3 +289,30 @@ def test_repeated_corpus_field_is_an_error(capsys):
     assert run(["survey", "--corpus", "random:8:seed=1:count=5:seed=2"]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: repeated corpus field") and captured.out == ""
+
+
+@pytest.mark.parametrize("how", ["every witness + 1", "wrapped", "out of range"])
+def test_diff_paper_rejects_a_printed_certificate_that_does_not_refute(tmp_path, capsys, how):
+    # exhaustive:4 is the smallest corpus whose report prints certificates;
+    # the first one printed is e:L,L,E/f's, of order 4
+    path = tmp_path / "survey.json"
+    assert run(["survey", "--corpus", "exhaustive:4", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    minus = [e["certificate"] for e in doc["cases"] if e["status"] == "counterexample"]
+    first = next(c for c in minus if (c["spec"], c["unit"]) == ("e:L,L,E", "f"))
+    if how == "every witness + 1":  # some land out of range, e:L,L,E/f's do not
+        for cert in minus:
+            cert["refutation"] = [[u, x + 1] for u, x in cert["refutation"]]
+    elif how == "wrapped":  # in range, and none refutes
+        first["refutation"] = [[u, (x + 1) % 4] for u, x in first["refutation"]]
+    else:  # verify_certificate raises MalformedCertificateError
+        first["refutation"][0][1] = 4
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["diff-paper", str(path), "--skip-convention-scan"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: certificate for e:L,L,E/f under "
+        "args=direct;result=inverse;trans=base does not refute\n"
+    )

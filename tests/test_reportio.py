@@ -222,6 +222,11 @@ def test_certificate_table_must_be_a_list_of_lists_of_integers(bad):
         ("corpus", None),
         ("corpus", 3),
         ("corpus", ["exhaustive:3"]),
+        # well typed, but not the document's corpus
+        ("max_order_checked", 99),
+        ("max_order_checked", 4),
+        ("corpus", "random:8:seed=1:count=5"),
+        ("corpus", "exhaustive:4"),
     ],
 )
 def test_no_counterexample_fields_are_type_checked(field, bad):
@@ -251,4 +256,15 @@ def test_certificate_must_be_filed_under_its_case_and_convention(how):
     doc = json.loads(survey_to_json(run_survey(EX3, CONVENTION_A)))
     _misfile(doc, how)
     with pytest.raises(ParseError, match="certificate is for"):
+        survey_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("bad", [[7], [3, 4], [], [3.0], "3", None])
+def test_orders_scanned_must_be_the_corpus_orders(bad):
+    doc = json.loads(survey_to_json(run_survey(EX3, CONVENTION_A)))
+    doc["orders_scanned"] = bad
+    with pytest.raises(ParseError, match=r"orders_scanned must be \[3\] for exhaustive:3"):
+        survey_from_json(json.dumps(doc))
+    del doc["orders_scanned"]
+    with pytest.raises(ParseError, match="missing field 'orders_scanned'"):
         survey_from_json(json.dumps(doc))

@@ -113,20 +113,25 @@ def test_probe_matches_direct_on_random_order_five():
 
 
 def test_probe_scan_agrees_with_reference_eval():
-    # engine kills == first (square, a) where the reference eval fails
-    probes = sorted({case_probe(c, CONVENTION_A) for c in all_cases()})[:40]
-    kills = probe_scan(EX3, probes)
-    squares = list(enumerate_all(3))
+    # engine kills == first (order, square, a) where the reference eval fails,
+    # for all 144 probes of the eight conventions; the last kills fall on
+    # order-4 squares 5 and 28
+    probes = sorted({case_probe(c, conv) for conv in all_conventions() for c in all_cases()})
+    assert len(probes) == 144
+    kills = probe_scan(EX4, probes)
+    squares = [(n, idx, q) for n in (3, 4) for idx, q in enumerate(enumerate_all(n))]
     for probe in probes:
-        expected = None
-        for idx, q in enumerate(squares):
-            for a in range(3):
-                if not reference_probe_eval(q, a, probe):
-                    expected = (3, idx, a, q.mul_table)
-                    break
-            if expected:
-                break
+        expected = next(
+            (
+                (n, idx, a, q.mul_table)
+                for n, idx, q in squares
+                for a in range(n)
+                if not reference_probe_eval(q, a, probe)
+            ),
+            None,
+        )
         assert kills[probe] == expected
+    assert {kill[:2] for kill in kills.values() if kill and kill[0] == 4} == {(4, 5), (4, 28)}
 
 
 def test_survey_example_cases_at_order_three():
