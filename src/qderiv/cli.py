@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage or validation error, 2 counterexample found
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Sequence
@@ -39,7 +40,7 @@ from .survey import (
     run_survey,
     verify_certificate,
 )
-from .units import UnitKind, left_unit, right_unit, unit_profile
+from .units import UnitKind, left_unit, middle_unit, right_unit, unit_profile
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -166,10 +167,7 @@ def cmd_certify(args) -> int:
 def cmd_diff_paper(args) -> int:
     survey = reportio.survey_from_json(_read_text(args.survey))
     paper = embedded_paper_table()
-    agreements = None
-    if not args.skip_convention_scan:
-        agreements = convention_agreement_table(survey.corpus, paper)
-    report = diff_against_paper(survey, paper, agreements)
+    report = diff_against_paper(survey, paper)
     for cert in (cell.certificate for cell in report.cells if cell.certificate is not None):
         try:
             refutes = verify_certificate(cert)
@@ -179,6 +177,9 @@ def cmd_diff_paper(args) -> int:
             raise reportio.ParseError(
                 f"certificate for {cert.case.token} under {cert.convention.token} does not refute"
             )
+    if not args.skip_convention_scan:
+        agreements = convention_agreement_table(survey.corpus, paper)
+        report = dataclasses.replace(report, convention_agreements=agreements)
     _write_text(args.out, reportio.diff_report_markdown(report))
     return EXIT_OK
 
@@ -219,8 +220,6 @@ def verify_example() -> bool:
         d2.mul_table == EXAMPLE_DERIVED_2,
         f"got {d2.mul_table}",
     )
-    from .units import middle_unit
-
     ok &= _check("example table 2 has no middle unit", middle_unit(d2) is None)
     return ok
 

@@ -1,10 +1,11 @@
 """Exhaustive enumeration and seeded random sampling of Latin squares.
 
-Exhaustive streams are emitted in lexicographic row-major order; that order
-defines "minimal counterexample" everywhere downstream.  Column-wise cell
-filling inside each row preserves the lexicographic guarantee (branching on
-the most constrained cell first would not), with bitmask pruning doing the
-heavy lifting.
+One depth-first search fills cells in row-major order from row and column
+bitmasks.  Trying each cell's candidates in ascending order yields every
+square in lexicographic row-major order, the order that defines "minimal
+counterexample" everywhere downstream (branching on the most constrained
+cell first would not keep it).  A random square is the first one found
+when a seeded RNG shuffles each cell's candidates.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import os
 import random
 import sys
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .qcore import Quasigroup, from_table
 
@@ -115,91 +116,15 @@ class CorpusDescriptor:
         return self.token
 
 
-def _iter_latin_rows(
-    n: int, reduced: bool = False
+def _latin_squares(
+    n: int, reduced: bool = False, getrandbits: Callable[[int], int] | None = None
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All n x n Latin squares as row tuples, lexicographic row-major."""
-    full = (1 << n) - 1
-    grid = [[0] * n for _ in range(n)]
-    col_free = [full] * n
+    """Order-n Latin squares as row tuples, filled row-major on an explicit stack.
 
-    def fill(r: int, c: int, row_free: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if c == n:
-            if r + 1 == n:
-                yield tuple(tuple(row) for row in grid)
-            else:
-                yield from fill(r + 1, 0, full)
-            return
-        avail = row_free & col_free[c]
-        if reduced:
-            if r == 0:
-                avail &= 1 << c
-            elif c == 0:
-                avail &= 1 << r
-        while avail:
-            bit = avail & -avail
-            avail ^= bit
-            v = bit.bit_length() - 1
-            grid[r][c] = v
-            col_free[c] ^= bit
-            yield from fill(r, c + 1, row_free ^ bit)
-            col_free[c] ^= bit
-
-    yield from fill(0, 0, full)
-
-
-def _check_order(n: int) -> None:
-    """Raise unless n is an order exhaustive enumeration accepts.
-
-    ValueError below 1; OrderTooLargeError above exhaustive_bound().
+    The squares come in lexicographic order unless ``getrandbits`` shuffles
+    each cell's candidates as random_rows describes.  ``reduced`` pins row 0
+    and column 0 to their index.
     """
-    if n < 1:
-        raise ValueError(f"order must be at least 1, got {n}")
-    bound = exhaustive_bound()
-    if n > bound:
-        raise OrderTooLargeError(n, bound)
-
-
-def enumerate_all(n: int) -> Iterator[Quasigroup]:
-    """Every order-n Latin square exactly once, lexicographic row-major."""
-    _check_order(n)
-    return map(from_table, _iter_latin_rows(n))
-
-
-def enumerate_reduced(n: int) -> Iterator[Quasigroup]:
-    """Order-n Latin squares with first row and column in natural order."""
-    _check_order(n)
-    return map(from_table, _iter_latin_rows(n, reduced=True))
-
-
-def count_all(n: int) -> int:
-    """Cardinality of enumerate_all(n), without storing squares."""
-    _check_order(n)
-    return sum(1 for _ in _iter_latin_rows(n))
-
-
-def count_reduced(n: int) -> int:
-    _check_order(n)
-    return sum(1 for _ in _iter_latin_rows(n, reduced=True))
-
-
-def random_rows(n: int, seed: int) -> tuple[tuple[int, ...], ...]:
-    """One Latin square from seeded randomized backtracking.
-
-    Not uniform over Latin squares; refutation search needs variety, not
-    uniformity.  Deterministic for fixed (n, seed).  Cells are filled in
-    row-major order by a depth-first search on an explicit stack, so the
-    caller's stack depth does not matter at any order.
-
-    The draw contract: each cell entered takes its candidates (the values
-    free in its row and column) in ascending order and shuffles them with
-    Fisher-Yates, drawing each swap index j <= i by rejection sampling from
-    ``getrandbits((i + 1).bit_length())``, then tries them in shuffled
-    order.  These are exactly the draws of ``Random.shuffle`` (the same
-    code in Python 3.10 to 3.13), so the squares are those of shuffling
-    with it; a cell with no or one candidate draws nothing.
-    """
-    getrandbits = random.Random(f"{n}:{seed}").getrandbits
     full = (1 << n) - 1
     grid = [[0] * n for _ in range(n)]
     col_free = [full] * n
@@ -210,21 +135,25 @@ def random_rows(n: int, seed: int) -> tuple[tuple[int, ...], ...]:
     row_free = full  # values free in row r before cell (r, c)
     while True:
         avail = row_free & col_free[c]
+        if reduced:
+            if r == 0:
+                avail &= 1 << c
+            elif c == 0:
+                avail &= 1 << r
         if avail & (avail - 1):
-            # Shuffle the ascending candidates in reverse, so that pop() gives
-            # them in shuffled order: ascending index i is index last - i.
-            values = []
+            values = []  # descending, so that pop() gives the least
             while avail:
                 v = avail.bit_length() - 1
                 avail ^= 1 << v
                 values.append(v)
-            last = len(values) - 1
-            for i in range(last, 0, -1):
-                k = draw_bits[i]
-                j = getrandbits(k)
-                while j > i:
+            if getrandbits:  # shuffle in reverse: ascending index i is last - i
+                last = len(values) - 1
+                for i in range(last, 0, -1):
+                    k = draw_bits[i]
                     j = getrandbits(k)
-                values[last - i], values[last - j] = values[last - j], values[last - i]
+                    while j > i:
+                        j = getrandbits(k)
+                    values[last - i], values[last - j] = values[last - j], values[last - i]
             v = values.pop()
         elif avail:
             v = avail.bit_length() - 1
@@ -232,6 +161,8 @@ def random_rows(n: int, seed: int) -> tuple[tuple[int, ...], ...]:
         else:
             # Dead end: step back to the last cell with an untried value.
             while True:
+                if not stack:
+                    return
                 if c:
                     c -= 1
                 else:
@@ -252,11 +183,65 @@ def random_rows(n: int, seed: int) -> tuple[tuple[int, ...], ...]:
         row_free ^= bit
         c += 1
         if c == n:
-            if r + 1 == n:
-                return tuple(tuple(row) for row in grid)
             r += 1
             c = 0
             row_free = full
+            if r == n:
+                # Column 0 is full now, so the next step backtracks.
+                yield tuple(map(tuple, grid))
+
+
+def _check_order(n: int) -> None:
+    """Raise unless n is an order exhaustive enumeration accepts.
+
+    ValueError below 1; OrderTooLargeError above exhaustive_bound().
+    """
+    if n < 1:
+        raise ValueError(f"order must be at least 1, got {n}")
+    bound = exhaustive_bound()
+    if n > bound:
+        raise OrderTooLargeError(n, bound)
+
+
+def enumerate_all(n: int) -> Iterator[Quasigroup]:
+    """Every order-n Latin square exactly once, lexicographic row-major."""
+    _check_order(n)
+    return map(from_table, _latin_squares(n))
+
+
+def enumerate_reduced(n: int) -> Iterator[Quasigroup]:
+    """Order-n Latin squares with first row and column in natural order."""
+    _check_order(n)
+    return map(from_table, _latin_squares(n, reduced=True))
+
+
+def count_all(n: int) -> int:
+    """Cardinality of enumerate_all(n), without storing squares."""
+    _check_order(n)
+    return sum(1 for _ in _latin_squares(n))
+
+
+def count_reduced(n: int) -> int:
+    _check_order(n)
+    return sum(1 for _ in _latin_squares(n, reduced=True))
+
+
+def random_rows(n: int, seed: int) -> tuple[tuple[int, ...], ...]:
+    """One Latin square from seeded randomized backtracking.
+
+    Not uniform over Latin squares; refutation search needs variety, not
+    uniformity.  Deterministic for fixed (n, seed): the first square of the
+    exhaustive search with each cell's candidates shuffled.
+
+    The draw contract: each cell entered takes its candidates (the values
+    free in its row and column) in ascending order and shuffles them with
+    Fisher-Yates, drawing each swap index j <= i by rejection sampling from
+    ``getrandbits((i + 1).bit_length())``, then tries them in shuffled
+    order.  These are exactly the draws of ``Random.shuffle`` (the same
+    code in Python 3.10 to 3.13), so the squares are those of shuffling
+    with it; a cell with no or one candidate draws nothing.
+    """
+    return next(_latin_squares(n, getrandbits=random.Random(f"{n}:{seed}").getrandbits))
 
 
 def random_square(n: int, seed: int) -> Quasigroup:
@@ -286,9 +271,8 @@ def _corpus_rows(
         for i in range(desc.count):
             yield desc.order, i, random_rows(desc.order, desc.seed + i)
         return
-    reduced = desc.mode == "reduced"
     for order in desc.orders():
-        for i, rows in enumerate(_iter_latin_rows(order, reduced=reduced)):
+        for i, rows in enumerate(_latin_squares(order, reduced=desc.mode == "reduced")):
             yield order, i, rows
 
 

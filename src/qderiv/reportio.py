@@ -149,7 +149,10 @@ def parse_convention(text: str) -> Convention:
     fields = {}
     for part in text.split(";"):
         key, _, value = part.partition("=")
-        fields[key.strip()] = value.strip()
+        key = key.strip()
+        if key in fields:
+            raise ParseError(f"convention {text!r}: repeated field {key!r}")
+        fields[key] = value.strip()
     if set(fields) != {"args", "result", "trans"}:
         raise ParseError(f"convention {text!r}: need args, result and trans fields")
     token = f"args={fields['args']};result={fields['result']};trans={fields['trans']}"
@@ -309,6 +312,8 @@ def _survey_from_doc(doc: dict) -> SurveyResult:
     statuses: dict[CaseId, Certificate | NoCounterexample] = {}
     for entry in doc["cases"]:
         case = CaseId(parse_spec(entry["spec"]), UnitKind(entry["unit"]))
+        if case in statuses:
+            raise ParseError(f"survey case {case.token}: repeated entry")
         if entry["status"] == "counterexample":
             cert = certificate_from_doc(entry["certificate"])
             if cert.case != case or cert.convention != convention:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from conftest import THEOREM_CLAIMS, Z3_ROWS
+from qderiv import cli
 from qderiv.cli import run
 from qderiv.corpus import CorpusDescriptor, iter_corpus
 from qderiv.derivative import all_conventions, apply_derivative
@@ -291,10 +292,32 @@ def test_repeated_corpus_field_is_an_error(capsys):
     assert captured.err.startswith("error: repeated corpus field") and captured.out == ""
 
 
-@pytest.mark.parametrize("how", ["every witness + 1", "wrapped", "out of range"])
-def test_diff_paper_rejects_a_printed_certificate_that_does_not_refute(tmp_path, capsys, how):
+def test_repeated_convention_field_is_an_error(capsys):
+    conv = "args=direct;args=inverse;result=direct;trans=base"
+    assert run(["survey", "--corpus", "exhaustive:3", "--convention", conv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: convention {conv!r}: repeated field 'args'\n"
+    assert captured.out == ""
+
+
+def _scan_must_not_run(*args, **kwargs):
+    raise AssertionError("the convention scan ran before the certificates were checked")
+
+
+@pytest.mark.parametrize(
+    "how, skip_scan",
+    [
+        pytest.param(how, skip_scan, id=how if skip_scan else f"{how}, scan")
+        for skip_scan in (True, False)
+        for how in ("every witness + 1", "wrapped", "out of range")
+    ],
+)
+def test_diff_paper_rejects_a_printed_certificate_that_does_not_refute(
+    tmp_path, capsys, monkeypatch, how, skip_scan
+):
     # exhaustive:4 is the smallest corpus whose report prints certificates;
-    # the first one printed is e:L,L,E/f's, of order 4
+    # the first one printed is e:L,L,E/f's, of order 4.  Without
+    # --skip-convention-scan the certificates are checked before the scan.
     path = tmp_path / "survey.json"
     assert run(["survey", "--corpus", "exhaustive:4", "--out", str(path)]) == 0
     doc = json.loads(path.read_text())
@@ -308,8 +331,13 @@ def test_diff_paper_rejects_a_printed_certificate_that_does_not_refute(tmp_path,
     else:  # verify_certificate raises MalformedCertificateError
         first["refutation"][0][1] = 4
     path.write_text(json.dumps(doc))
+    argv = ["diff-paper", str(path)]
+    if skip_scan:
+        argv.append("--skip-convention-scan")
+    else:
+        monkeypatch.setattr(cli, "convention_agreement_table", _scan_must_not_run)
     capsys.readouterr()
-    assert run(["diff-paper", str(path), "--skip-convention-scan"]) == 1
+    assert run(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (

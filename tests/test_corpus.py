@@ -43,9 +43,12 @@ def test_total_equals_reduced_times_row_column_relabelings():
 
 
 def test_stream_is_lexicographic_and_duplicate_free():
-    flats = [tuple(v for row in q.mul_table for v in row) for q in enumerate_all(3)]
-    assert flats == sorted(flats)
-    assert len(set(flats)) == 12
+    streams = [(enumerate_all, n, count) for n, count in zip(range(1, 5), (1, 2, 12, 576))]
+    streams += [(enumerate_reduced, n, count) for n, count in zip(range(1, 6), (1, 1, 1, 4, 56))]
+    for enumerate_n, n, count in streams:
+        flats = [tuple(v for row in q.mul_table for v in row) for q in enumerate_n(n)]
+        assert len(flats) == count, (enumerate_n.__name__, n)
+        assert all(a < b for a, b in zip(flats, flats[1:])), (enumerate_n.__name__, n)
     assert next(iter(enumerate_all(3))).mul_table == Z3_ROWS
 
 

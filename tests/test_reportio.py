@@ -102,6 +102,8 @@ def test_convention_parse_errors():
         parse_convention("args=direct;result=inverse")
     with pytest.raises(ParseError):
         parse_convention("args=up;result=inverse;trans=base")
+    with pytest.raises(ParseError, match="repeated field 'args'"):
+        parse_convention("args=direct;args=inverse;result=direct;trans=base")
 
 
 def test_paper_table_round_trip():
@@ -150,6 +152,7 @@ def test_survey_json_malformed_documents_raise_parse_error():
         {**doc, "cases": [{k: v for k, v in entry.items() if k != "spec"}]},
         {**doc, "cases": [{**entry, "unit": "x"}]},
         {**doc, "cases": [{**entry, "status": "counterexample"}]},
+        {**doc, "cases": doc["cases"] + [doc["cases"][0]]},
     ]
     for bad in malformed:
         with pytest.raises(ParseError):
