@@ -319,6 +319,10 @@ def verify_theorem(claim: int, desc: CorpusDescriptor | None = None) -> bool:
 
 
 def cmd_verify(args) -> int:
+    if args.claim is not None and args.what != "theorem":
+        raise reportio.ParseError("--claim applies only to verify theorem")
+    if args.corpus and args.what == "example":
+        raise reportio.ParseError("verify example takes no --corpus")
     desc = None
     if args.corpus:
         desc = CorpusDescriptor.parse(args.corpus)

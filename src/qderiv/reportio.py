@@ -31,7 +31,6 @@ from .survey import (
     Certificate,
     DiffReport,
     NoCounterexample,
-    SignTable,
     SurveyResult,
     UNIT_ORDER,
 )
@@ -166,7 +165,7 @@ def parse_convention(text: str) -> Convention:
 # "block=<alpha>,<beta>,<gamma> sigma=<tok> f=<+|-|?> e=<+|-|?> s=<+|-|?>".
 
 
-def parse_paper_table(text: str) -> SignTable:
+def parse_paper_table(text: str) -> dict[CaseId, str]:
     signs: dict[CaseId, str] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -189,17 +188,7 @@ def parse_paper_table(text: str) -> SignTable:
             signs[case] = sign
     if len(signs) != 1944:
         raise ParseError(f"paper table has {len(signs)} cells, want 1944")
-    return SignTable(signs)
-
-
-def emit_paper_table(table: SignTable) -> str:
-    lines = []
-    for triple in enumerate_triples():
-        for sigma in ROW_ORDER:
-            spec = DerivativeSpec(sigma, triple)
-            f, e, s = (table.sign(CaseId(spec, u)) for u in UNIT_ORDER)
-            lines.append(f"block={triple.token} sigma={sigma.token} f={f} e={e} s={s}")
-    return "\n".join(lines) + "\n"
+    return signs
 
 
 # ---------------------------------------------------------------------------

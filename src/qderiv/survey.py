@@ -23,12 +23,14 @@ or bounded evidence over the corpus scanned.
 
 Certificates are built from the full derivative construction, independent
 of the probe shortcut, so an unsound probe would surface as an impossible
-certificate.  Within one survey call each derived table is built and
-validated once and shared by every case and convention that gives the same
-(square, a, sigma, alpha, beta, gamma) (_Derivatives).  The convention
-agreement table keeps only the counts, so it builds no certificate: it
-checks the full derived table of every minus under every convention for
-the case's unit, which is exactly when a certificate could not be built.
+certificate.  Surveys and single-case certification take one path from a
+case to its evidence (_survey_kills): within one call each derived table is
+built and validated once and shared by every case and convention that gives
+the same (square, a, sigma, alpha, beta, gamma) (_Derivatives).  The
+convention agreement table keeps only the counts, so it builds no
+certificate: it checks the full derived table of every minus under every
+convention for the case's unit, which is exactly when a certificate could
+not be built.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .corpus import CorpusDescriptor, iter_corpus_rows
@@ -308,18 +311,15 @@ def _unsound(case: CaseId, u: int, a: int) -> SurveyError:
 
 
 def build_certificate(
-    rows: Rows, a: int, case: CaseId, conv: Convention, table: Rows | None = None
+    rows: Rows, a: int, case: CaseId, conv: Convention, table: Rows
 ) -> Certificate:
     """Refutation witnesses for every candidate, from the full derivative.
 
-    ``table`` is the derivative's Cayley table when the caller has already
-    built and validated it (a survey shares them, see _Derivatives);
-    otherwise apply_derivative builds it here.  Raises SurveyError if some
-    candidate is actually a unit; that would mean the probe that selected
-    (rows, a) was unsound.
+    ``table`` is the Cayley table of the derivative of ``rows`` at ``a``,
+    built and validated by the caller (a survey shares them, see
+    _Derivatives).  Raises SurveyError if some candidate is actually a unit;
+    that would mean the probe that selected (rows, a) was unsound.
     """
-    if table is None:
-        table = apply_derivative(from_table(rows), a, case.spec, conv).mul_table
     n = len(rows)
     refutation = []
     for u in range(n):
@@ -408,16 +408,15 @@ class _Derivatives:
 
 
 def _survey_kills(
-    desc: CorpusDescriptor, conventions: Sequence[Convention]
+    desc: CorpusDescriptor, conventions: Sequence[Convention], cases: Sequence[CaseId]
 ) -> Iterator[tuple[Convention, CaseId, Kill | None, Rows | None]]:
-    """(convention, case, kill, derived) for every case under each convention, from one scan.
+    """(convention, case, kill, derived) for each case under each convention, from one scan.
 
     ``kill`` is the minimal counterexample of the case's probe, or None when
     there is none; ``derived`` is then None, and otherwise the full
     derivative of the kill square at its a, the table that must refute the
     case's unit (_Derivatives).
     """
-    cases = all_cases()
     probe_of = {
         conv: {case: case_probe(case, conv) for case in cases} for conv in conventions
     }
@@ -443,7 +442,7 @@ def run_survey_multi(
         conv: {} for conv in conventions
     }
     none_found = NoCounterexample(desc.order, desc.token)
-    for conv, case, kill, derived in _survey_kills(desc, conventions):
+    for conv, case, kill, derived in _survey_kills(desc, conventions, all_cases()):
         if kill is None:
             statuses[conv][case] = none_found
         else:
@@ -471,16 +470,18 @@ def minimal_counterexample(
 ) -> Certificate | None:
     """First counterexample scanning orders 3..max_order exhaustively.
 
+    A survey of the one case: the same scan and derived table as
+    run_survey_multi, so the certificate is the one a survey would file.
+
     ``jobs`` is accepted for existing callers and ignored: the scan is
     sequential.
     """
     desc = CorpusDescriptor("exhaustive", max_order)
-    probe = case_probe(case, conv)
-    kill = probe_scan(desc, [probe])[probe]
+    ((_, _, kill, derived),) = _survey_kills(desc, [conv], [case])
     if kill is None:
         return None
     _, _, a, rows = kill
-    return build_certificate(rows, a, case, conv)
+    return build_certificate(rows, a, case, conv, derived)
 
 
 # ---------------------------------------------------------------------------
@@ -489,24 +490,14 @@ def minimal_counterexample(
 PLUS, MINUS, UNKNOWN = "+", "-", "?"
 
 
-@dataclass(frozen=True)
-class SignTable:
-    """A +/-/? sign for every (spec, unit) cell; 648 x 3 in canonical order."""
-
-    signs: Mapping[CaseId, str]
-
-    def sign(self, case: CaseId) -> str:
-        return self.signs[case]
-
-    def __len__(self) -> int:
-        return len(self.signs)
+SignTable = Mapping[CaseId, str]  # a +/-/? sign for every (spec, unit) cell
 
 
 def _sign(status: Certificate | NoCounterexample) -> str:
     return MINUS if isinstance(status, Certificate) else PLUS
 
 
-def compute_table(survey: SurveyResult) -> SignTable:
+def compute_table(survey: SurveyResult) -> dict[CaseId, str]:
     """Minus where a counterexample was found, plus otherwise.
 
     A plus on one of the six tautological probes is proved (case_proof);
@@ -514,16 +505,16 @@ def compute_table(survey: SurveyResult) -> SignTable:
     Every refutable probe fails in exhaustive:4, so on exhaustive:N for
     N >= 4 every plus is proved.
     """
-    return SignTable({case: _sign(status) for case, status in survey.statuses.items()})
+    return {case: _sign(status) for case, status in survey.statuses.items()}
 
 
 @functools.cache
 def embedded_paper_table() -> SignTable:
-    """The reference classification table shipped with the package."""
+    """The reference classification table shipped with the package, read-only."""
     from .reportio import parse_paper_table  # deferred to avoid a cycle
 
     text = resources.files("qderiv").joinpath("data/paper_table.txt").read_text()
-    return parse_paper_table(text)
+    return MappingProxyType(parse_paper_table(text))
 
 
 AGREE, DISAGREE, PAPER_UNKNOWN = "agree", "disagree", "paper_unknown"
@@ -554,8 +545,8 @@ def agreement_statuses(computed: SignTable, paper: SignTable) -> dict[CaseId, st
     if len(computed) != len(paper):
         raise SurveyError(f"shape mismatch: {len(computed)} vs {len(paper)} cells")
     status = {}
-    for case, sign in computed.signs.items():
-        p = paper.sign(case)
+    for case, sign in computed.items():
+        p = paper[case]
         status[case] = PAPER_UNKNOWN if p == UNKNOWN else AGREE if p == sign else DISAGREE
     return status
 
@@ -584,9 +575,9 @@ def diff_against_paper(
     statuses = agreement_statuses(computed, paper)
     cells = []
     for case in all_cases():
-        c, status = computed.sign(case), statuses[case]
+        c, status = computed[case], statuses[case]
         cert = survey.statuses[case] if status == DISAGREE and c == MINUS else None
-        cells.append(DiffCell(case, c, paper.sign(case), status, cert))
+        cells.append(DiffCell(case, c, paper[case], status, cert))
     return DiffReport(survey.convention, survey.corpus, tuple(cells), convention_agreements)
 
 
@@ -606,7 +597,7 @@ def convention_agreement_table(
     sequential.
     """
     signs: dict[Convention, dict[CaseId, str]] = {conv: {} for conv in all_conventions()}
-    for conv, case, kill, derived in _survey_kills(desc, list(signs)):
+    for conv, case, kill, derived in _survey_kills(desc, list(signs), all_cases()):
         if kill is None:
             signs[conv][case] = PLUS
             continue
@@ -615,5 +606,5 @@ def convention_agreement_table(
             raise _unsound(case, u, kill[2])
         signs[conv][case] = MINUS
     return {
-        conv.token: agreement_counts(SignTable(s), paper) for conv, s in signs.items()
+        conv.token: agreement_counts(s, paper) for conv, s in signs.items()
     }

@@ -292,6 +292,22 @@ def test_repeated_corpus_field_is_an_error(capsys):
     assert captured.err.startswith("error: repeated corpus field") and captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["example", "--corpus", "random:9:seed=1:count=1"], "verify example takes no --corpus"),
+        (["example", "--claim", "1"], "--claim applies only to verify theorem"),
+        (["lemma", "--claim", "3"], "--claim applies only to verify theorem"),
+        (["table1", "--claim", "2"], "--claim applies only to verify theorem"),
+    ],
+    ids=["example --corpus", "example --claim", "lemma --claim", "table1 --claim"],
+)
+def test_verify_refuses_options_it_would_ignore(capsys, argv, message):
+    assert run(["verify", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
 def test_repeated_convention_field_is_an_error(capsys):
     conv = "args=direct;args=inverse;result=direct;trans=base"
     assert run(["survey", "--corpus", "exhaustive:3", "--convention", conv]) == 1

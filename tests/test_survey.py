@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -220,8 +221,10 @@ def test_certificate_with_non_latin_table_is_false():
 
 def test_build_certificate_rejects_satisfiable_case():
     # (Id,(L,E,L)) always has a left unit, so no certificate can exist
+    c = case("e:L,E,L/f")
+    table = apply_derivative(from_table(Z3_ROWS), 0, c.spec, CONVENTION_A).mul_table
     with pytest.raises(SurveyError):
-        build_certificate(Z3_ROWS, 0, case("e:L,E,L/f"), CONVENTION_A)
+        build_certificate(Z3_ROWS, 0, c, CONVENTION_A, table)
 
 
 def test_minimal_counterexample_examples():
@@ -237,14 +240,16 @@ def test_embedded_paper_table_shape_and_quoted_cells():
     paper = embedded_paper_table()
     assert paper is embedded_paper_table()
     assert len(paper) == 1944
-    unknowns = [c for c, s in paper.signs.items() if s == "?"]
+    unknowns = [c for c, s in paper.items() if s == "?"]
     assert len(unknowns) == 1
     anomaly = unknowns[0]
     assert anomaly.spec.token == "e:E,R,L" and anomaly.unit is UnitKind.RIGHT
-    assert [paper.sign(case(f"e:L,L,E/{u}")) for u in "fes"] == ["+", "-", "-"]
-    assert [paper.sign(case(f"e:P,E,Pi/{u}")) for u in "fes"] == ["-", "-", "+"]
-    assert [paper.sign(case(f"23:L,Pi,E/{u}")) for u in "fes"] == ["-", "-", "-"]
-    assert paper.sign(case("e:L,E,L/f")) == "-"
+    assert [paper[case(f"e:L,L,E/{u}")] for u in "fes"] == ["+", "-", "-"]
+    assert [paper[case(f"e:P,E,Pi/{u}")] for u in "fes"] == ["-", "-", "+"]
+    assert [paper[case(f"23:L,Pi,E/{u}")] for u in "fes"] == ["-", "-", "-"]
+    assert paper[case("e:L,E,L/f")] == "-"
+    with pytest.raises(TypeError):
+        paper[anomaly] = "+"  # the shared reference table is read-only
 
 
 def test_diff_against_paper_statuses_and_certificates():
@@ -276,7 +281,7 @@ def test_diff_against_paper_statuses_and_certificates():
 def test_agreement_counts_shape_mismatch():
     survey = run_survey(EX3, CONVENTION_A)
     table = compute_table(survey)
-    short = dataclasses.replace(table, signs=dict(list(table.signs.items())[:10]))
+    short = dict(list(table.items())[:10])
     with pytest.raises(SurveyError):
         agreement_counts(short, embedded_paper_table())
 
@@ -390,10 +395,14 @@ def _eight_surveys(desc):
 
 @pytest.mark.parametrize(
     "scan",
-    [_eight_surveys, lambda desc: convention_agreement_table(desc, embedded_paper_table())],
-    ids=["run_survey_multi", "convention_agreement_table"],
+    [
+        lambda desc, proved: _eight_surveys(desc),
+        lambda desc, proved: convention_agreement_table(desc, embedded_paper_table()),
+        lambda desc, proved: minimal_counterexample(proved, CONVENTION_A, max_order=desc.order),
+    ],
+    ids=["run_survey_multi", "convention_agreement_table", "minimal_counterexample"],
 )
-def test_unsound_probe_raises_on_both_paths(monkeypatch, scan):
+def test_unsound_probe_raises_on_every_path(monkeypatch, scan):
     # a proved case compiled to a refutable probe must be caught by the unit
     # its derived table has, through its certificate or the convention
     # table's unit check, for each kind of unit
@@ -410,7 +419,7 @@ def test_unsound_probe_raises_on_both_paths(monkeypatch, scan):
         monkeypatch.setattr(survey, "case_probe", unsound)
         message = f"probe unsound: candidate \\d+ is a {unit.token}-unit for case {proved.token} "
         with pytest.raises(SurveyError, match=message):
-            scan(EX4)
+            scan(EX4, proved)
 
 
 def test_shared_derived_tables_give_the_uncached_certificates():
@@ -418,8 +427,20 @@ def test_shared_derived_tables_give_the_uncached_certificates():
         certs = [s for s in result.statuses.values() if isinstance(s, Certificate)]
         assert len(certs) == 1728
         for cert in certs:
-            assert cert == build_certificate(cert.rows, cert.a, cert.case, conv)
+            spec = cert.case.spec
+            table = apply_derivative(from_table(cert.rows), cert.a, spec, conv).mul_table
+            assert cert == build_certificate(cert.rows, cert.a, cert.case, conv, table)
             assert verify_certificate(cert)
+
+
+def test_certify_files_the_certificate_the_survey_files():
+    surveys = _eight_surveys(EX4)
+    pairs = list(itertools.product(all_cases(), all_conventions()))[::61]
+    assert len(pairs) == 255
+    for c, conv in pairs:
+        status = surveys[conv].statuses[c]
+        want = status if isinstance(status, Certificate) else None
+        assert minimal_counterexample(c, conv, max_order=4) == want, (c.token, conv.token)
 
 
 def test_convention_table_builds_each_derived_table_once(monkeypatch):
