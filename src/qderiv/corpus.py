@@ -35,7 +35,10 @@ def exhaustive_bound() -> int:
     env = os.environ.get("QD_MAX_ORDER")
     if env is None:
         return DEFAULT_MAX_ORDER
-    bound = int(env)
+    try:
+        bound = int(env)
+    except ValueError:
+        raise ValueError(f"QD_MAX_ORDER must be an integer, got {env!r}") from None
     if bound >= 6:
         print(
             f"warning: QD_MAX_ORDER={bound}: order-6 enumeration has ~8e8 squares",

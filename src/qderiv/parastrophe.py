@@ -40,6 +40,9 @@ class ParastropheSym(Enum):
     S123 = "123"
     S132 = "132"
 
+    # Members are singletons and compare by identity, so they hash by it too.
+    __hash__ = object.__hash__
+
     @property
     def token(self) -> str:
         return self.value

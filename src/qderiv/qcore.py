@@ -55,6 +55,9 @@ class TranslationKind(Enum):
     P = "P", (2, 0, 1)
     PINV = "Pi", (2, 1, 0)
 
+    # Members are singletons and compare by identity, so they hash by it too.
+    __hash__ = object.__hash__
+
     @property
     def token(self) -> str:
         return self.value

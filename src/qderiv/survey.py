@@ -382,15 +382,26 @@ class _Derivatives:
     index), sigma and the alpha, beta, gamma images after the convention's
     actions (derivative_maps, the same step apply_derivative takes).  The
     cases and conventions that act alike on a square share one table.  The
-    base quasigroup is built once per square and each parastrophe once per
-    sigma; every derived table is validated by from_table.
+    base quasigroup is built once per square, each parastrophe once per
+    sigma, and the maps once per (square, a, spec, convention), so the three
+    unit kinds of a spec share them; every derived table is validated by
+    from_table.
     """
 
     def __init__(self) -> None:
         self._paras: dict[tuple[int, int], dict[ParastropheSym, Quasigroup]] = {}
         self._tables: dict[tuple, Rows] = {}
+        self._by_spec: dict[tuple, Rows] = {}
 
     def table(self, kill: Kill, spec: DerivativeSpec, conv: Convention) -> Rows:
+        order, idx, a, rows = kill
+        spec_key = (order, idx, a, spec, conv)
+        table = self._by_spec.get(spec_key)
+        if table is None:
+            table = self._by_spec[spec_key] = self._derive(kill, spec, conv)
+        return table
+
+    def _derive(self, kill: Kill, spec: DerivativeSpec, conv: Convention) -> Rows:
         order, idx, a, rows = kill
         paras = self._paras.get((order, idx))
         if paras is None:
@@ -417,15 +428,12 @@ def _survey_kills(
     derivative of the kill square at its a, the table that must refute the
     case's unit (_Derivatives).
     """
-    probe_of = {
-        conv: {case: case_probe(case, conv) for case in cases} for conv in conventions
-    }
-    probes = {p for m in probe_of.values() for p in m.values()}
-    kills = probe_scan(desc, probes)
+    probes = [[case_probe(case, conv) for case in cases] for conv in conventions]
+    kills = probe_scan(desc, {p for conv_probes in probes for p in conv_probes})
     derivatives = _Derivatives()
-    for conv in conventions:
-        for case in cases:
-            kill = kills[probe_of[conv][case]]
+    for conv, conv_probes in zip(conventions, probes):
+        for case, probe in zip(cases, conv_probes):
+            kill = kills[probe]
             derived = None if kill is None else derivatives.table(kill, case.spec, conv)
             yield conv, case, kill, derived
 
@@ -544,11 +552,11 @@ def agreement_statuses(computed: SignTable, paper: SignTable) -> dict[CaseId, st
     """AGREE, DISAGREE or PAPER_UNKNOWN per cell; a '?' reference sign is unknown."""
     if len(computed) != len(paper):
         raise SurveyError(f"shape mismatch: {len(computed)} vs {len(paper)} cells")
-    status = {}
-    for case, sign in computed.items():
-        p = paper[case]
-        status[case] = PAPER_UNKNOWN if p == UNKNOWN else AGREE if p == sign else DISAGREE
-    return status
+    return {case: _agreement(sign, paper[case]) for case, sign in computed.items()}
+
+
+def _agreement(sign: str, paper_sign: str) -> str:
+    return PAPER_UNKNOWN if paper_sign == UNKNOWN else AGREE if paper_sign == sign else DISAGREE
 
 
 def _tally(statuses: Iterable[str]) -> tuple[int, int, int]:
@@ -589,22 +597,27 @@ def convention_agreement_table(
     """Agreement counts against the reference table for all eight conventions.
 
     No convention is singled out; the counts are evidence for the reader.
-    Only signs are kept, so no certificate is built: the full derived table
-    of every minus is checked for the case's unit instead (an identity row,
-    an identity column or a constant diagonal), the condition on which
-    build_certificate raises, and an unsound probe raises SurveyError here
-    too.  ``jobs`` is accepted for existing callers and ignored: the scan is
-    sequential.
+    Only signs are kept, in case order, so no certificate is built: the
+    full derived table of every minus is checked for the case's unit
+    instead (an identity row, an identity column or a constant diagonal),
+    the condition on which build_certificate raises, and an unsound probe
+    raises SurveyError here too.  ``jobs`` is accepted for existing callers
+    and ignored: the scan is sequential.
     """
-    signs: dict[Convention, dict[CaseId, str]] = {conv: {} for conv in all_conventions()}
-    for conv, case, kill, derived in _survey_kills(desc, list(signs), all_cases()):
+    cases = all_cases()
+    if len(paper) != len(cases):
+        raise SurveyError(f"shape mismatch: {len(cases)} vs {len(paper)} cells")
+    reference = [paper[case] for case in cases]
+    conventions = all_conventions()
+    signs: dict[Convention, list[str]] = {conv: [] for conv in conventions}
+    for conv, case, kill, derived in _survey_kills(desc, conventions, cases):
         if kill is None:
-            signs[conv][case] = PLUS
+            signs[conv].append(PLUS)
             continue
         u = find_unit_in_table(derived, case.unit)
         if u is not None:
             raise _unsound(case, u, kill[2])
-        signs[conv][case] = MINUS
+        signs[conv].append(MINUS)
     return {
-        conv.token: agreement_counts(s, paper) for conv, s in signs.items()
+        conv.token: _tally(map(_agreement, s, reference)) for conv, s in signs.items()
     }

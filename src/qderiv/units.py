@@ -13,6 +13,9 @@ class UnitKind(Enum):
     RIGHT = "e"   # x*e = x for all x
     MIDDLE = "s"  # x*x = s for all x
 
+    # Members are singletons and compare by identity, so they hash by it too.
+    __hash__ = object.__hash__
+
     @property
     def token(self) -> str:
         return self.value

@@ -107,6 +107,14 @@ def test_certify_keeps_the_order_bound_for_tautological_cases(capsys, monkeypatc
     assert captured.out == ""
 
 
+def test_non_integer_order_bound_is_an_error(capsys, monkeypatch):
+    monkeypatch.setenv("QD_MAX_ORDER", "abc")
+    assert run(["enumerate", "--order", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: QD_MAX_ORDER must be an integer, got 'abc'\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [

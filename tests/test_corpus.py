@@ -80,6 +80,12 @@ def test_bound_override_via_environment(monkeypatch, capsys):
     assert exhaustive_bound() == 5
 
 
+def test_bound_override_must_be_an_integer(monkeypatch):
+    monkeypatch.setenv("QD_MAX_ORDER", "abc")
+    with pytest.raises(ValueError, match="^QD_MAX_ORDER must be an integer, got 'abc'$"):
+        exhaustive_bound()
+
+
 def test_random_square_deterministic_and_valid():
     a = random_square(8, 1)
     b = random_square(8, 1)

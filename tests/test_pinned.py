@@ -8,6 +8,10 @@ derivative construction must reproduce them byte for byte.
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -72,3 +76,18 @@ def test_compiled_probe_table_is_unchanged():
             i, j, fam = case_probe(case, conv)
             h.update(f"{conv.token} {case.token} {i} {j} {fam}\n".encode())
     assert h.hexdigest() == PROBE_TABLE_DIGEST
+
+
+def test_survey_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    # enums hash by identity and strings by a per-process seed, so no output
+    # may depend on a hash order
+    src = Path(__file__).resolve().parent.parent / "src"
+    digests = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"survey-{seed}.json"
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
+        env.pop("QD_MAX_ORDER", None)
+        argv = ["survey", "--corpus", "exhaustive:4", "--out", str(out)]
+        subprocess.run([sys.executable, "-m", "qderiv.cli", *argv], env=env, check=True)
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert digests == [SURVEY_DIGESTS["exhaustive:4"][0]] * 2
