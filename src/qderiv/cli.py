@@ -30,9 +30,12 @@ from .survey import (
     CaseId,
     Certificate,
     MalformedCertificateError,
+    _agreement_counts,
+    _convention_signs,
+    all_cases,
     case_probe,
     case_proof,
-    convention_agreement_table,
+    compute_table,
     diff_against_paper,
     embedded_paper_table,
     minimal_counterexample,
@@ -178,7 +181,16 @@ def cmd_diff_paper(args) -> int:
                 f"certificate for {cert.case.token} under {cert.convention.token} does not refute"
             )
     if not args.skip_convention_scan:
-        agreements = convention_agreement_table(survey.corpus, paper)
+        cases = all_cases()
+        signs = _convention_signs(survey.corpus, cases)
+        computed = compute_table(survey)
+        for case, sign in zip(cases, signs[survey.convention]):
+            if computed[case] != sign:
+                raise reportio.ParseError(
+                    f"survey sign for {case.token} under {survey.convention.token} "
+                    f"differs from a re-scan of {survey.corpus.token}"
+                )
+        agreements = _agreement_counts(signs, paper, cases)
         report = dataclasses.replace(report, convention_agreements=agreements)
     _write_text(args.out, reportio.diff_report_markdown(report))
     return EXIT_OK

@@ -52,9 +52,10 @@ class CorpusDescriptor:
     """A corpus of Latin squares: exhaustive/reduced up to an order, or random.
 
     Exhaustive and reduced corpora scan every order from 3 up to ``order``
-    (degenerate orders 1 and 2 trivially satisfy many unit claims and are
-    excluded from refutation search).  Random corpora hold ``count`` seeded
-    squares of exactly ``order``.
+    (orders 1 and 2 are excluded from refutation search: each of their
+    three Latin squares has a left, a right and a middle unit, and so does
+    every derivative of one, so they refute no case).  Random corpora hold
+    ``count`` seeded squares of exactly ``order``.
     """
 
     mode: str  # exhaustive | reduced | random

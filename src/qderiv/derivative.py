@@ -15,8 +15,10 @@ to the product, and takes all translations in the base quasigroup:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
 from .parastrophe import KINDS, ROW_ORDER, ParastropheSym, apply_parastrophe
 from .qcore import Quasigroup, TranslationKind, from_table, invert_images, translation_images
@@ -137,7 +139,7 @@ def derivative_maps(
 
     ``b`` is the spec's sigma-parastrophe of ``q``; the translations are
     taken in q or in b as the convention says.  The derivative is then
-    x . y = gamma(b(alpha(x), beta(y))) (compose_derivative).
+    x . y = gamma(b(alpha(x), beta(y))) (derivative_products).
     """
     source = q if conv.translation_source == "base" else b
     alpha = translation_images(source, spec.triple.alpha, a)
@@ -150,11 +152,20 @@ def derivative_maps(
     return alpha, beta, gamma
 
 
-def compose_derivative(b: Quasigroup, maps: Maps) -> list[list[int]]:
-    """Cayley rows of x . y = gamma(b(alpha(x), beta(y))), without validation."""
+def derivative_products(
+    b: Quasigroup, maps: Maps, cells: Iterable[tuple[int, int]]
+) -> list[int]:
+    """x . y = gamma(b(alpha(x), beta(y))) at each (x, y) of cells."""
     alpha, beta, gamma = maps
     bt = b.mul_table
-    return [[gamma[bt[ax][by]] for by in beta] for ax in alpha]
+    return [gamma[bt[alpha[x]][beta[y]]] for x, y in cells]
+
+
+def compose_derivative(b: Quasigroup, maps: Maps) -> list[list[int]]:
+    """Cayley rows of x . y = gamma(b(alpha(x), beta(y))), without validation."""
+    n = b.n
+    flat = derivative_products(b, maps, itertools.product(range(n), repeat=2))
+    return [flat[i:i + n] for i in range(0, n * n, n)]
 
 
 def apply_derivative(

@@ -195,14 +195,22 @@ def parse_paper_table(text: str) -> dict[CaseId, str]:
 # Survey documents (versioned JSON).
 
 
+def _certificate_fields(cert: Certificate, spec: str, unit: str, convention: str) -> dict:
+    """A certificate's document after its table, given its case and convention tokens."""
+    return {
+        "a": cert.a,
+        "spec": spec,
+        "unit": unit,
+        "convention": convention,
+        "refutation": [list(pair) for pair in cert.refutation],
+    }
+
+
 def certificate_to_doc(cert: Certificate) -> dict:
+    case = cert.case
     return {
         "table": [list(r) for r in cert.rows],
-        "a": cert.a,
-        "spec": cert.case.spec.token,
-        "unit": cert.case.unit.token,
-        "convention": cert.convention.token,
-        "refutation": [list(pair) for pair in cert.refutation],
+        **_certificate_fields(cert, case.spec.token, case.unit.token, cert.convention.token),
     }
 
 
@@ -214,39 +222,117 @@ def _is_int_table(value: object) -> bool:
     """A list of lists of integers, with JSON's true and false not counted as integers."""
     return (
         isinstance(value, list)
-        and all(isinstance(row, list) for row in value)
+        and set(map(type, value)) <= {list}
         and set(map(type, itertools.chain.from_iterable(value))) <= {int}
     )
 
 
-def certificate_from_doc(doc: dict) -> Certificate:
-    table = doc["table"]
-    if not _is_int_table(table):
-        raise ParseError("certificate: table must be a list of lists of integers")
-    a = doc["a"]
-    if not _is_int(a):
-        raise ParseError(f"certificate: a must be an integer, got {a!r}")
-    refutation = tuple(tuple(pair) for pair in doc["refutation"])
-    for pair in refutation:
-        if len(pair) != 2 or not all(map(_is_int, pair)):
-            raise ParseError(f"certificate: refutation pair {list(pair)!r} must be two integers")
-    case = CaseId(parse_spec(doc["spec"]), UnitKind(doc["unit"]))
-    return Certificate(
-        rows=tuple(tuple(r) for r in table),
-        a=a,
-        case=case,
-        convention=parse_convention(doc["convention"]),
-        refutation=refutation,
+def _is_int_pairs(value: object) -> bool:
+    """A list of two-element lists of integers, checked in one flat pass."""
+    return (
+        isinstance(value, list)
+        and set(map(type, value)) <= {list}
+        and set(map(len, value)) <= {2}
+        and set(map(type, itertools.chain.from_iterable(value))) <= {int}
     )
 
 
+class _DocReader:
+    """The tokens and squares of one document, each parsed once.
+
+    Lives for one survey_from_json or certificate_from_doc call.  Every
+    table is still type-checked on its own (equal tables may differ in
+    JSON type, as 1, 1.0 and true do), and equal checked tables then share
+    one ``rows`` object.
+    """
+
+    def __init__(self) -> None:
+        self._specs: dict[str, DerivativeSpec] = {}
+        self._conventions: dict[str, Convention] = {}
+        self._squares: dict[tuple, tuple] = {}
+
+    def spec(self, token: object) -> DerivativeSpec:
+        return _parse_once(parse_spec, self._specs, token)
+
+    def convention(self, token: object) -> Convention:
+        return _parse_once(parse_convention, self._conventions, token)
+
+    def certificate(self, doc: dict) -> Certificate:
+        table = doc["table"]
+        if not _is_int_table(table):
+            raise ParseError("certificate: table must be a list of lists of integers")
+        a = doc["a"]
+        if not _is_int(a):
+            raise ParseError(f"certificate: a must be an integer, got {a!r}")
+        pairs = doc["refutation"]
+        if _is_int_pairs(pairs):
+            refutation = tuple(map(tuple, pairs))
+        else:  # name the first bad pair
+            refutation = tuple(tuple(pair) for pair in pairs)
+            for pair in refutation:
+                if len(pair) != 2 or not all(map(_is_int, pair)):
+                    raise ParseError(
+                        f"certificate: refutation pair {list(pair)!r} must be two integers"
+                    )
+        case = CaseId(self.spec(doc["spec"]), UnitKind(doc["unit"]))
+        rows = tuple(map(tuple, table))
+        return Certificate(
+            rows=self._squares.setdefault(rows, rows),
+            a=a,
+            case=case,
+            convention=self.convention(doc["convention"]),
+            refutation=refutation,
+        )
+
+
+def _parse_once(parse, parsed: dict, token: object):
+    """parse(token), memoized in ``parsed``; a non-string goes to parse for its error."""
+    if not isinstance(token, str):
+        return parse(token)
+    value = parsed.get(token)
+    if value is None:
+        value = parsed[token] = parse(token)
+    return value
+
+
+def certificate_from_doc(doc: dict) -> Certificate:
+    return _DocReader().certificate(doc)
+
+
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+_TABLE_SLOT = '"table":0,'  # never inside a JSON string, whose quotes are escaped
+
+
 def survey_to_json(result: SurveyResult) -> str:
+    """The survey document: json.dumps(doc, separators=(",", ":")) plus a newline.
+
+    Each distinct square is serialized once: the document is encoded with
+    a placeholder table, and the square's text is spliced in at every
+    certificate that cites it.
+    """
+    encode = _ENCODER.encode
+    tokens: dict[object, str] = {}  # spec, unit and convention tokens, each made once
+    tables: dict[tuple, str] = {}
+    cited = []  # the table text of each certificate, in document order
     cases = []
     for case, status in result.statuses.items():
-        entry = {"spec": case.spec.token, "unit": case.unit.token}
+        spec = tokens.get(case.spec) or tokens.setdefault(case.spec, case.spec.token)
+        unit = tokens.get(case.unit) or tokens.setdefault(case.unit, case.unit.token)
+        entry = {"spec": spec, "unit": unit}
         if isinstance(status, Certificate):
+            table = tables.get(status.rows)
+            if table is None:
+                table = tables[status.rows] = encode([list(r) for r in status.rows])
+            cited.append(table)
+            cited_case, conv = status.case, status.convention
+            if cited_case is not case:  # filed under another case: write what it says
+                spec, unit = cited_case.spec.token, cited_case.unit.token
+            convention = tokens.get(conv) or tokens.setdefault(conv, conv.token)
             entry["status"] = "counterexample"
-            entry["certificate"] = certificate_to_doc(status)
+            entry["certificate"] = {
+                "table": 0,
+                **_certificate_fields(status, spec, unit, convention),
+            }
         else:
             entry["status"] = "no_counterexample"
             entry["max_order_checked"] = status.max_order_checked
@@ -260,11 +346,20 @@ def survey_to_json(result: SurveyResult) -> str:
         "unit_quantification": "a plus requires the unit for every square scanned and every element a",
         "cases": cases,
     }
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+    head, *rest = encode(doc).split(_TABLE_SLOT)
+    out = [head]
+    for table, piece in zip(cited, rest):
+        out += ('"table":', table, ",", piece)
+    out.append("\n")
+    return "".join(out)
 
 
 def survey_from_json(text: str) -> SurveyResult:
-    """Parse a survey document; any malformed document raises ParseError."""
+    """Parse a survey document; any malformed document raises ParseError.
+
+    Each spec and convention token is parsed once, and every certificate
+    that cites the same square shares one ``rows`` object.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -289,7 +384,8 @@ def _survey_from_doc(doc: dict) -> SurveyResult:
         raise FormatVersionError(
             f"unsupported survey format major {major!r} (supported: {SURVEY_FORMAT_MAJOR})"
         )
-    convention = parse_convention(doc["convention"])
+    reader = _DocReader()
+    convention = reader.convention(doc["convention"])
     corpus = CorpusDescriptor.parse(doc["corpus"])
     orders = list(corpus.orders())
     scanned = doc["orders_scanned"]
@@ -300,11 +396,11 @@ def _survey_from_doc(doc: dict) -> SurveyResult:
     none_found = NoCounterexample(corpus.order, corpus.token)
     statuses: dict[CaseId, Certificate | NoCounterexample] = {}
     for entry in doc["cases"]:
-        case = CaseId(parse_spec(entry["spec"]), UnitKind(entry["unit"]))
+        case = CaseId(reader.spec(entry["spec"]), UnitKind(entry["unit"]))
         if case in statuses:
             raise ParseError(f"survey case {case.token}: repeated entry")
         if entry["status"] == "counterexample":
-            cert = certificate_from_doc(entry["certificate"])
+            cert = reader.certificate(entry["certificate"])
             if cert.case != case or cert.convention != convention:
                 raise ParseError(
                     f"survey case {case.token} under {convention.token}: certificate "

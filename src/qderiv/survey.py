@@ -49,9 +49,10 @@ from .derivative import (
     Convention,
     DerivativeSpec,
     all_conventions,
-    apply_derivative,
+    apply_derivative,  # survey.apply_derivative is a traced name in benchmarks/layers.py
     compose_derivative,
     derivative_maps,
+    derivative_products,
     enumerate_specs,
 )
 from .parastrophe import TRANSFER, ParastropheSym, apply_parastrophe, transfer_kind
@@ -303,6 +304,15 @@ def _unit_equation_holds(
     return table[x][x] == u
 
 
+def _unit_cell(unit: UnitKind, u: int, x: int) -> tuple[tuple[int, int], int]:
+    """The cell the unit equation of candidate u reads at x, and the value it needs there."""
+    if unit is UnitKind.LEFT:
+        return (u, x), x
+    if unit is UnitKind.RIGHT:
+        return (x, u), x
+    return (x, x), u
+
+
 def _unsound(case: CaseId, u: int, a: int) -> SurveyError:
     return SurveyError(
         f"probe unsound: candidate {u} is a {case.unit.token}-unit "
@@ -345,7 +355,8 @@ def verify_certificate(cert: Certificate) -> bool:
     Structural defects (bad shapes, candidates not covering 0..n-1) raise
     MalformedCertificateError naming the first failing field; a certificate
     whose table is not Latin or whose witnesses do not all refute returns
-    False.
+    False.  The derivative is evaluated only at the n cells the witnesses
+    name, through the formula that builds full derived tables.
     """
     rows = cert.rows
     n = len(rows)
@@ -363,11 +374,16 @@ def verify_certificate(cert: Certificate) -> bool:
         q = from_table(rows)
     except QuasigroupError:
         return False
-    table = apply_derivative(q, cert.a, cert.case.spec, cert.convention).mul_table
-    return all(
-        not _unit_equation_holds(table, cert.case.unit, u, x)
-        for u, x in cert.refutation
-    )
+    spec, unit = cert.case.spec, cert.case.unit
+    b = q if spec.sigma is ParastropheSym.ID else apply_parastrophe(q, spec.sigma)
+    maps = derivative_maps(q, b, cert.a, spec, cert.convention)
+    # b is Latin, so the derivative is Latin exactly when its maps are permutations
+    elements = set(range(n))
+    if any(len(m) != n or set(m) != elements for m in maps):
+        return False
+    cells = [_unit_cell(unit, u, x) for u, x in cert.refutation]
+    products = derivative_products(b, maps, (cell for cell, _ in cells))
+    return all(value != want for value, (_, want) in zip(products, cells))
 
 
 # ---------------------------------------------------------------------------
@@ -597,17 +613,26 @@ def convention_agreement_table(
     """Agreement counts against the reference table for all eight conventions.
 
     No convention is singled out; the counts are evidence for the reader.
-    Only signs are kept, in case order, so no certificate is built: the
-    full derived table of every minus is checked for the case's unit
-    instead (an identity row, an identity column or a constant diagonal),
-    the condition on which build_certificate raises, and an unsound probe
-    raises SurveyError here too.  ``jobs`` is accepted for existing callers
-    and ignored: the scan is sequential.
+    The signs come from _convention_signs.  ``jobs`` is accepted for
+    existing callers and ignored: the scan is sequential.
     """
     cases = all_cases()
     if len(paper) != len(cases):
         raise SurveyError(f"shape mismatch: {len(cases)} vs {len(paper)} cells")
-    reference = [paper[case] for case in cases]
+    return _agreement_counts(_convention_signs(desc, cases), paper, cases)
+
+
+def _convention_signs(
+    desc: CorpusDescriptor, cases: Sequence[CaseId]
+) -> dict[Convention, list[str]]:
+    """The sign of each of the cases under each of the eight conventions, in case order.
+
+    Only signs are kept, so no certificate is built: the full derived table
+    of every minus is checked for the case's unit instead (an identity row,
+    an identity column or a constant diagonal), the condition on which
+    build_certificate raises, and an unsound probe raises SurveyError here
+    too.
+    """
     conventions = all_conventions()
     signs: dict[Convention, list[str]] = {conv: [] for conv in conventions}
     for conv, case, kill, derived in _survey_kills(desc, conventions, cases):
@@ -618,6 +643,14 @@ def convention_agreement_table(
         if u is not None:
             raise _unsound(case, u, kill[2])
         signs[conv].append(MINUS)
+    return signs
+
+
+def _agreement_counts(
+    signs: dict[Convention, list[str]], paper: SignTable, cases: Sequence[CaseId]
+) -> dict[str, tuple[int, int, int]]:
+    """Agreement counts of each convention's signs (_convention_signs) with the reference."""
+    reference = [paper[case] for case in cases]
     return {
         conv.token: _tally(map(_agreement, s, reference)) for conv, s in signs.items()
     }

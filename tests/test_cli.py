@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -359,7 +360,7 @@ def test_diff_paper_rejects_a_printed_certificate_that_does_not_refute(
     if skip_scan:
         argv.append("--skip-convention-scan")
     else:
-        monkeypatch.setattr(cli, "convention_agreement_table", _scan_must_not_run)
+        monkeypatch.setattr(cli, "_convention_signs", _scan_must_not_run)
     capsys.readouterr()
     assert run(argv) == 1
     captured = capsys.readouterr()
@@ -368,3 +369,60 @@ def test_diff_paper_rejects_a_printed_certificate_that_does_not_refute(
         "error: certificate for e:L,L,E/f under "
         "args=direct;result=inverse;trans=base does not refute\n"
     )
+
+
+def test_verify_lemma_fails_when_the_middle_derivative_is_wrong(monkeypatch, capsys):
+    # the right derivative's left unit is a\a, not the middle derivative's a/a;
+    # the two differ on some exhaustive:4 square, so the check must fail
+    monkeypatch.setattr(cli, "middle_derivative", cli.right_derivative)
+    assert run(["verify", "lemma", "--corpus", "exhaustive:4"]) == cli.EXIT_INVARIANT
+    out = capsys.readouterr().out
+    prefix = "FAIL classical derivative units on exhaustive:4: 588 squares, "
+    assert out.startswith(prefix)
+    assert int(out[len(prefix):].split()[0]) > 0
+
+
+def _forge_a_plus(path) -> str:
+    """Rewrite one counterexample of the survey at path as no_counterexample; its case token."""
+    doc = json.loads(path.read_text())
+    entry = next(e for e in doc["cases"] if e["status"] == "counterexample")
+    del entry["certificate"]
+    entry.update(status="no_counterexample", max_order_checked=4, corpus="exhaustive:4")
+    path.write_text(json.dumps(doc, separators=(",", ":")) + "\n")
+    return f"{entry['spec']}/{entry['unit']}"
+
+
+def test_diff_paper_rejects_a_forged_plus(tmp_path, capsys):
+    path = tmp_path / "survey.json"
+    assert run(["survey", "--corpus", "exhaustive:4", "--out", str(path)]) == 0
+    case = _forge_a_plus(path)
+    capsys.readouterr()
+    assert run(["diff-paper", str(path), "--out", str(tmp_path / "r.md")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: survey sign for {case} under args=direct;result=inverse;trans=base "
+        "differs from a re-scan of exhaustive:4\n"
+    )
+    assert not (tmp_path / "r.md").exists()
+
+
+# sha256 of the diff-paper report of honest surveys, recorded before the
+# report re-checked the document's signs against its convention's re-scan
+HONEST_REPORTS = {
+    ("exhaustive:3", "A"): "3eccb5815d5bfbf91788678e10f8091e1443182bff1464e905ce8ca140812f5d",
+    ("exhaustive:4", "A"): "fcbfbaf1ce999cea3725b90d70643ce8e17d42e286b1ba71ba1cdb52a8698c2b",
+    ("exhaustive:4", "args=inverse;result=direct;trans=para"):
+        "c503a2062a73cf9bfc0d3d8d17b8d2e237e22166bcb5629e619ec2f21a2be5dd",
+    ("random:7:seed=3:count=20", "A"):
+        "434dcce9ea07ff4c4b9d0dff6fe2bd4c244b3004e16bbbe88f61c56d583be97f",
+}
+
+
+@pytest.mark.parametrize("corpus, convention", sorted(HONEST_REPORTS))
+def test_diff_paper_reports_of_honest_surveys_are_unchanged(tmp_path, corpus, convention):
+    survey, report = tmp_path / "survey.json", tmp_path / "r.md"
+    argv = ["survey", "--corpus", corpus, "--convention", convention, "--out", str(survey)]
+    assert run(argv) == 0
+    assert run(["diff-paper", str(survey), "--out", str(report)]) == 0
+    digest = hashlib.sha256(report.read_bytes()).hexdigest()
+    assert digest == HONEST_REPORTS[corpus, convention]

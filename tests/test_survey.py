@@ -465,3 +465,15 @@ def test_convention_table_counts_equal_the_full_surveys():
         conv.token: agreement_counts(compute_table(run_survey(EX4, conv)), paper)
         for conv in all_conventions()
     }
+
+
+def test_orders_one_and_two_refute_no_probe():
+    # why corpora start at order 3: no refutable probe fails on any of the
+    # three squares of order 1 or 2
+    probes = {case_probe(c, conv) for conv in all_conventions() for c in all_cases()}
+    refutable = sorted(p for p in probes if tautology_proof(p) is None)
+    assert len(refutable) == 138
+    squares = [q.mul_table for n in (1, 2) for q in enumerate_all(n)]
+    assert len(squares) == 3
+    for rows in squares:
+        assert survey._scan_square(rows, refutable) == []
