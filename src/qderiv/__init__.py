@@ -9,8 +9,8 @@ from .qcore import (
     check_identities,
     from_table,
 )
-from .parastrophe import ParastropheSym, apply_parastrophe, compose, verify_translation_transfer
-from .units import UnitKind, UnitProfile, left_unit, middle_unit, right_unit, unit_profile
+from .parastrophe import ParastropheSym, apply_parastrophe, verify_translation_transfer
+from .units import UnitKind, left_unit, middle_unit, right_unit
 from .derivative import (
     CONVENTION_A,
     Convention,
@@ -49,12 +49,10 @@ __all__ = [
     "QuasigroupError",
     "TranslationKind",
     "UnitKind",
-    "UnitProfile",
     "all_conventions",
     "apply_derivative",
     "apply_parastrophe",
     "check_identities",
-    "compose",
     "count_all",
     "enumerate_all",
     "enumerate_reduced",
@@ -68,6 +66,5 @@ __all__ = [
     "random_square",
     "right_derivative",
     "right_unit",
-    "unit_profile",
     "verify_translation_transfer",
 ]

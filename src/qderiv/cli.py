@@ -29,6 +29,9 @@ from .qcore import Quasigroup, QuasigroupError, from_table
 from .survey import (
     CaseId,
     Certificate,
+    MINUS,
+    PLUS,
+    UNIT_ORDER,
     MalformedCertificateError,
     _agreement_counts,
     _convention_signs,
@@ -43,7 +46,7 @@ from .survey import (
     run_survey,
     verify_certificate,
 )
-from .units import UnitKind, left_unit, middle_unit, right_unit, unit_profile
+from .units import UnitKind, find_unit_in_table, left_unit, middle_unit, right_unit
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -110,30 +113,19 @@ def cmd_derive(args) -> int:
 
 def cmd_units(args) -> int:
     q = _load_quasigroup(args.file)
-    profile = unit_profile(q)
-    fmt = lambda v: "-" if v is None else str(v)
-    print(f"f={fmt(profile.left)} e={fmt(profile.right)} s={fmt(profile.middle)}")
+    units = [find_unit_in_table(q.mul_table, kind) for kind in UNIT_ORDER]
+    print(" ".join(f"{kind.token}={'-' if u is None else u}" for kind, u in zip(UNIT_ORDER, units)))
     return EXIT_OK
 
 
 def cmd_enumerate(args) -> int:
     if args.count_only:
-        if args.reduced:
-            print(corpus_mod.count_reduced(args.order))
-        else:
-            print(corpus_mod.count_all(args.order))
+        count = corpus_mod.count_reduced if args.reduced else corpus_mod.count_all
+        print(count(args.order))
         return EXIT_OK
-    stream = (
-        corpus_mod.enumerate_reduced(args.order)
-        if args.reduced
-        else corpus_mod.enumerate_all(args.order)
-    )
-    first = True
-    for q in stream:
-        if not first:
-            sys.stdout.write("\n")
-        sys.stdout.write(reportio.emit_cayley(q))
-        first = False
+    squares = corpus_mod.enumerate_reduced if args.reduced else corpus_mod.enumerate_all
+    for i, q in enumerate(squares(args.order)):
+        sys.stdout.write(("\n" if i else "") + reportio.emit_cayley(q))
     return EXIT_OK
 
 
@@ -180,18 +172,25 @@ def cmd_diff_paper(args) -> int:
             raise reportio.ParseError(
                 f"certificate for {cert.case.token} under {cert.convention.token} does not refute"
             )
-    if not args.skip_convention_scan:
-        cases = all_cases()
-        signs = _convention_signs(survey.corpus, cases)
-        computed = compute_table(survey)
-        for case, sign in zip(cases, signs[survey.convention]):
-            if computed[case] != sign:
-                raise reportio.ParseError(
-                    f"survey sign for {case.token} under {survey.convention.token} "
-                    f"differs from a re-scan of {survey.corpus.token}"
-                )
+    cases = all_cases()
+    computed = compute_table(survey)
+    if args.skip_convention_scan:
+        # each plus by its probe: proved, or scanned over the corpus
+        plus = [case for case in cases if computed[case] == PLUS]
+        probes = [case_probe(case, survey.convention) for case in plus]
+        kills = probe_scan(survey.corpus, probes)
+        rescanned = zip(plus, (PLUS if kills[p] is None else MINUS for p in probes))
+    else:
+        signs = _convention_signs(survey.corpus)
+        rescanned = zip(cases, signs[survey.convention])
         agreements = _agreement_counts(signs, paper, cases)
         report = dataclasses.replace(report, convention_agreements=agreements)
+    for case, sign in rescanned:
+        if computed[case] != sign:
+            raise reportio.ParseError(
+                f"survey sign for {case.token} under {survey.convention.token} "
+                f"differs from a re-scan of {survey.corpus.token}"
+            )
     _write_text(args.out, reportio.diff_report_markdown(report))
     return EXIT_OK
 

@@ -11,6 +11,9 @@ applies alpha and beta directly to the arguments, applies gamma inversely
 to the product, and takes all translations in the base quasigroup:
 
     x . y = gamma^-1( B(alpha(x), beta(y)) )      B = sigma-parastrophe
+
+Every other convention names the same 648 derivatives by other specs
+(Convention.relabel).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .parastrophe import KINDS, ROW_ORDER, ParastropheSym, apply_parastrophe
+from .parastrophe import KINDS, ROW_ORDER, ParastropheSym, apply_parastrophe, transfer_kind
 from .qcore import Quasigroup, TranslationKind, from_table, invert_images, translation_images
 
 
@@ -62,6 +65,9 @@ class Convention:
         inverse.
     translation_source: are the translations taken in the base quasigroup
         or in the sigma-parastrophe.
+
+    The derivative of spec s under C is that of C.relabel(s) under A;
+    derivative_maps applies the switches themselves, as the independent path.
     """
 
     arg_action: str = "direct"          # direct | inverse
@@ -80,6 +86,24 @@ class Convention:
     def token(self) -> str:
         trans = "base" if self.translation_source == "base" else "para"
         return f"args={self.arg_action};result={self.result_action};trans={trans}"
+
+    def relabel(self, spec: DerivativeSpec) -> DerivativeSpec:
+        """pi_C: the spec whose derivative under A is spec's under this convention.
+
+        Each component is transferred from the parastrophe under trans=para,
+        then inverted where this convention acts on its slot unlike A.
+        """
+        sigma, triple = spec.sigma, spec.triple
+        kinds = alpha, beta, gamma = triple.alpha, triple.beta, triple.gamma
+        if self.translation_source == "parastrophe":
+            alpha, beta, gamma = (transfer_kind(k, sigma) for k in kinds)
+        if self.arg_action != CONVENTION_A.arg_action:
+            alpha, beta = alpha.inverse, beta.inverse
+        if self.result_action != CONVENTION_A.result_action:
+            gamma = gamma.inverse
+        if (alpha, beta, gamma) == kinds:
+            return spec
+        return DerivativeSpec(sigma, IsotopyTriple(alpha, beta, gamma))
 
 
 CONVENTION_A = Convention("direct", "inverse", "base")
@@ -108,14 +132,9 @@ def enumerate_triples() -> tuple[IsotopyTriple, ...]:
     """The 108 isotopy triples in canonical block order."""
     triples = []
     for k in KINDS:
-        for pattern in ("ends", "middle", "start"):
-            for m in KINDS:
-                if pattern == "ends":
-                    triples.append(IsotopyTriple(k, m, _E))
-                elif pattern == "middle":
-                    triples.append(IsotopyTriple(k, _E, m))
-                else:
-                    triples.append(IsotopyTriple(_E, k, m))
+        triples += [IsotopyTriple(k, m, _E) for m in KINDS]
+        triples += [IsotopyTriple(k, _E, m) for m in KINDS]
+        triples += [IsotopyTriple(_E, k, m) for m in KINDS]
     return tuple(triples)
 
 

@@ -59,8 +59,6 @@ _ROLE_MAP = {
     ParastropheSym.S123: (2, 1, 0),
 }
 
-_SYM_BY_ROLE = {v: k for k, v in _ROLE_MAP.items()}
-
 # The six translation kinds, all but E: L, Li, R, Ri, P, Pi.
 KINDS = tuple(TranslationKind)[1:]
 
@@ -94,15 +92,6 @@ def apply_parastrophe(q: Quasigroup, sigma: ParastropheSym) -> Quasigroup:
             t = (x, y, z)
             rows[t[r0]][t[r1]] = t[r2]
     return from_table(rows)
-
-
-def compose(sigma: ParastropheSym, tau: ParastropheSym) -> ParastropheSym:
-    """The symbol with apply(compose(sigma, tau), q) = apply(sigma, apply(tau, q)).
-
-    Composition is right-to-left: tau is applied to q first.
-    """
-    ps, pt = _ROLE_MAP[sigma], _ROLE_MAP[tau]
-    return _SYM_BY_ROLE[(ps[pt[0]], ps[pt[1]], ps[pt[2]])]
 
 
 def _transferred(kind: TranslationKind, pi: tuple[int, int, int]) -> TranslationKind:

@@ -21,16 +21,16 @@ first failure in (order, stream index, a) order, and stops once every one
 of them has failed.  A case without a counterexample is thus either proved
 or bounded evidence over the corpus scanned.
 
-Certificates are built from the full derivative construction, independent
-of the probe shortcut, so an unsound probe would surface as an impossible
-certificate.  Surveys and single-case certification take one path from a
-case to its evidence (_survey_kills): within one call each derived table is
-built and validated once and shared by every case and convention that gives
-the same (square, a, sigma, alpha, beta, gamma) (_Derivatives).  The
-convention agreement table keeps only the counts, so it builds no
-certificate: it checks the full derived table of every minus under every
-convention for the case's unit, which is exactly when a certificate could
-not be built.
+The derivative of spec s under convention C is that of pi_C(s) =
+C.relabel(s) under A, so the 1944 A cases are compiled, scanned and derived
+once (_survey_kills), and a case under C takes its A case's kill and
+derived table (_relabeled_cells).  Certificates are built from that full
+table, independent of the probe shortcut, so an unsound probe would surface
+as an impossible certificate; each table is composed and checked to be
+Latin once per call (_Derivatives).  The convention agreement table builds
+no certificate: it checks the table of every A minus for the case's unit,
+exactly when a certificate could not be built, and reads the eight sign
+lists through pi_C.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from .derivative import (
     derivative_products,
     enumerate_specs,
 )
-from .parastrophe import TRANSFER, ParastropheSym, apply_parastrophe, transfer_kind
+from .parastrophe import TRANSFER, ParastropheSym, apply_parastrophe
 from .qcore import Quasigroup, QuasigroupError, TranslationKind, from_table, invert_images
 from .units import UnitKind, find_unit_in_table
 
@@ -163,24 +163,13 @@ _ROW_FAMILY, _COL_FAMILY, _MID_FAMILY = (
 Probe = tuple[int, int, int]
 
 
-def _effective_index(
-    kind: TranslationKind, sigma: ParastropheSym, conv: Convention, is_arg: bool
-) -> int:
-    """Index of the translation the triple component actually applies, at conv."""
-    if conv.translation_source == "parastrophe":
-        kind = transfer_kind(kind, sigma)
-    action = conv.arg_action if is_arg else conv.result_action
-    if action == "inverse":
-        kind = kind.inverse
-    return _KIND_INDEX[kind]
-
-
 def case_probe(case: CaseId, conv: Convention) -> Probe:
-    """Compile a case to its single membership probe."""
-    spec, unit = case.spec, case.unit
-    ea = _effective_index(spec.triple.alpha, spec.sigma, conv, True)
-    eb = _effective_index(spec.triple.beta, spec.sigma, conv, True)
-    eg = _effective_index(spec.triple.gamma, spec.sigma, conv, False)
+    """Compile a case to its single membership probe: A's probe of (pi_C(s), unit)."""
+    spec, unit = conv.relabel(case.spec), case.unit
+    triple = spec.triple
+    # A applies alpha and beta to the arguments and gamma inversely to the product
+    ea, eb = _KIND_INDEX[triple.alpha], _KIND_INDEX[triple.beta]
+    eg = _INV[_KIND_INDEX[triple.gamma]]
     if unit is UnitKind.LEFT:
         fam, inv = _ROW_FAMILY[spec.sigma]
         # h = g^-1 . q^-1 must be a row of B; test h or h^-1 = q . g
@@ -391,17 +380,15 @@ def verify_certificate(cert: Certificate) -> bool:
 
 
 class _Derivatives:
-    """The derived tables of one survey call, each built and validated once.
+    """The derived tables of one survey call under A, each composed and checked once.
 
     A derived table is gamma(B(alpha(x), beta(y))) for the sigma-parastrophe
-    B of the kill square, so it is keyed by the square's (order, stream
-    index), sigma and the alpha, beta, gamma images after the convention's
-    actions (derivative_maps, the same step apply_derivative takes).  The
-    cases and conventions that act alike on a square share one table.  The
-    base quasigroup is built once per square, each parastrophe once per
-    sigma, and the maps once per (square, a, spec, convention), so the three
-    unit kinds of a spec share them; every derived table is validated by
-    from_table.
+    B of the kill square, with an A spec's maps (derivative_maps, as
+    apply_derivative); conventions reach it through pi_C, so no key holds
+    one.  The base quasigroup is built once per square, each parastrophe once
+    per sigma, the maps once per (square, a, spec) and the table once per
+    distinct maps.  Tables are checked to be Latin (_latin_rows), not built
+    by from_table, whose division tables nothing here reads.
     """
 
     def __init__(self) -> None:
@@ -409,15 +396,15 @@ class _Derivatives:
         self._tables: dict[tuple, Rows] = {}
         self._by_spec: dict[tuple, Rows] = {}
 
-    def table(self, kill: Kill, spec: DerivativeSpec, conv: Convention) -> Rows:
+    def table(self, kill: Kill, spec: DerivativeSpec) -> Rows:
         order, idx, a, rows = kill
-        spec_key = (order, idx, a, spec, conv)
+        spec_key = (order, idx, a, spec)
         table = self._by_spec.get(spec_key)
         if table is None:
-            table = self._by_spec[spec_key] = self._derive(kill, spec, conv)
+            table = self._by_spec[spec_key] = self._derive(kill, spec)
         return table
 
-    def _derive(self, kill: Kill, spec: DerivativeSpec, conv: Convention) -> Rows:
+    def _derive(self, kill: Kill, spec: DerivativeSpec) -> Rows:
         order, idx, a, rows = kill
         paras = self._paras.get((order, idx))
         if paras is None:
@@ -426,53 +413,72 @@ class _Derivatives:
         b = paras.get(spec.sigma)
         if b is None:
             b = paras[spec.sigma] = apply_parastrophe(q, spec.sigma)
-        maps = derivative_maps(q, b, a, spec, conv)
+        maps = derivative_maps(q, b, a, spec, CONVENTION_A)
         key = (order, idx, spec.sigma, maps)
         table = self._tables.get(key)
         if table is None:
-            table = self._tables[key] = from_table(compose_derivative(b, maps)).mul_table
+            table = self._tables[key] = _latin_rows(compose_derivative(b, maps), spec, a)
         return table
 
 
+def _latin_rows(table: list[list[int]], spec: DerivativeSpec, a: int) -> Rows:
+    """The table as row tuples; SurveyError unless every row and column permutes range(n)."""
+    rows = tuple(map(tuple, table))
+    elements = set(range(len(rows)))
+    if any(set(line) != elements for line in itertools.chain(rows, zip(*rows))):
+        raise SurveyError(f"derived table of {spec.token} at a={a} is not Latin")
+    return rows
+
+
 def _survey_kills(
-    desc: CorpusDescriptor, conventions: Sequence[Convention], cases: Sequence[CaseId]
-) -> Iterator[tuple[Convention, CaseId, Kill | None, Rows | None]]:
-    """(convention, case, kill, derived) for each case under each convention, from one scan.
+    desc: CorpusDescriptor, cases: Sequence[CaseId]
+) -> Iterator[tuple[Kill | None, Rows | None]]:
+    """(kill, derived) for each of the cases under A, from one scan.
 
     ``kill`` is the minimal counterexample of the case's probe, or None when
-    there is none; ``derived`` is then None, and otherwise the full
-    derivative of the kill square at its a, the table that must refute the
-    case's unit (_Derivatives).
+    there is none; ``derived`` is then None, and otherwise the derivative of
+    the kill square at its a, the table that must refute the case's unit
+    (_Derivatives).
     """
-    probes = [[case_probe(case, conv) for case in cases] for conv in conventions]
-    kills = probe_scan(desc, {p for conv_probes in probes for p in conv_probes})
+    probes = [case_probe(case, CONVENTION_A) for case in cases]
+    kills = probe_scan(desc, set(probes))
     derivatives = _Derivatives()
-    for conv, conv_probes in zip(conventions, probes):
-        for case, probe in zip(cases, conv_probes):
-            kill = kills[probe]
-            derived = None if kill is None else derivatives.table(kill, case.spec, conv)
-            yield conv, case, kill, derived
+    for case, probe in zip(cases, probes):
+        kill = kills[probe]
+        yield kill, None if kill is None else derivatives.table(kill, case.spec)
+
+
+def _relabeled_cells(conv: Convention) -> list[int]:
+    """pi_C by position: the all_cases index of (conv.relabel(s), unit) for each case (s, unit)."""
+    specs = enumerate_specs()
+    position = {spec: i for i, spec in enumerate(specs)}
+    relabeled = [position[conv.relabel(spec)] for spec in specs]
+    return [3 * i + k for i in relabeled for k in range(3)]
 
 
 def run_survey_multi(
     desc: CorpusDescriptor, conventions: Sequence[Convention]
 ) -> dict[Convention, SurveyResult]:
-    """One corpus pass shared by several conventions.
+    """One corpus pass under A shared by several conventions.
 
-    Every case with a counterexample gets its certificate built from the
-    full derived table, so an unsound probe raises SurveyError here.
+    A case under C files, as its own, the certificate of its A case
+    (_relabeled_cells): the derived tables are equal, so the bytes are too.
+    Every certificate is built from the derived table, so an unsound probe
+    raises SurveyError here.
     """
-    statuses: dict[Convention, dict[CaseId, Certificate | NoCounterexample]] = {
-        conv: {} for conv in conventions
-    }
+    cases = all_cases()
+    cells = list(_survey_kills(desc, cases))
     none_found = NoCounterexample(desc.order, desc.token)
-    for conv, case, kill, derived in _survey_kills(desc, conventions, all_cases()):
-        if kill is None:
-            statuses[conv][case] = none_found
-        else:
-            _, _, a, rows = kill
-            statuses[conv][case] = build_certificate(rows, a, case, conv, derived)
-    return {conv: SurveyResult(conv, desc, s) for conv, s in statuses.items()}
+    results = {}
+    for conv in conventions:
+        statuses: dict[CaseId, Certificate | NoCounterexample] = {}
+        for case, i in zip(cases, _relabeled_cells(conv)):
+            kill, derived = cells[i]
+            statuses[case] = none_found if kill is None else build_certificate(
+                kill[3], kill[2], case, conv, derived
+            )
+        results[conv] = SurveyResult(conv, desc, statuses)
+    return results
 
 
 def run_survey(
@@ -501,7 +507,7 @@ def minimal_counterexample(
     sequential.
     """
     desc = CorpusDescriptor("exhaustive", max_order)
-    ((_, _, kill, derived),) = _survey_kills(desc, [conv], [case])
+    ((kill, derived),) = _survey_kills(desc, [CaseId(conv.relabel(case.spec), case.unit)])
     if kill is None:
         return None
     _, _, a, rows = kill
@@ -619,31 +625,30 @@ def convention_agreement_table(
     cases = all_cases()
     if len(paper) != len(cases):
         raise SurveyError(f"shape mismatch: {len(cases)} vs {len(paper)} cells")
-    return _agreement_counts(_convention_signs(desc, cases), paper, cases)
+    return _agreement_counts(_convention_signs(desc), paper, cases)
 
 
-def _convention_signs(
-    desc: CorpusDescriptor, cases: Sequence[CaseId]
-) -> dict[Convention, list[str]]:
-    """The sign of each of the cases under each of the eight conventions, in case order.
+def _convention_signs(desc: CorpusDescriptor) -> dict[Convention, list[str]]:
+    """The sign of every case under each of the eight conventions, in all_cases order.
 
-    Only signs are kept, so no certificate is built: the full derived table
-    of every minus is checked for the case's unit instead (an identity row,
-    an identity column or a constant diagonal), the condition on which
-    build_certificate raises, and an unsound probe raises SurveyError here
-    too.
+    The 1944 A cases are derived once and each convention's list is A's read
+    through pi_C (_relabeled_cells).  Only signs are kept, so no certificate
+    is built: the derived table of every A minus is checked for the case's
+    unit instead (an identity row, an identity column or a constant
+    diagonal), the condition on which build_certificate raises, and an
+    unsound probe raises SurveyError here too.
     """
-    conventions = all_conventions()
-    signs: dict[Convention, list[str]] = {conv: [] for conv in conventions}
-    for conv, case, kill, derived in _survey_kills(desc, conventions, cases):
+    cases = all_cases()
+    signs = []
+    for case, (kill, derived) in zip(cases, _survey_kills(desc, cases)):
         if kill is None:
-            signs[conv].append(PLUS)
+            signs.append(PLUS)
             continue
         u = find_unit_in_table(derived, case.unit)
         if u is not None:
             raise _unsound(case, u, kill[2])
-        signs[conv].append(MINUS)
-    return signs
+        signs.append(MINUS)
+    return {conv: [signs[i] for i in _relabeled_cells(conv)] for conv in all_conventions()}
 
 
 def _agreement_counts(

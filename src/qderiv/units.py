@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .qcore import Quasigroup
@@ -19,13 +18,6 @@ class UnitKind(Enum):
     @property
     def token(self) -> str:
         return self.value
-
-
-@dataclass(frozen=True)
-class UnitProfile:
-    left: int | None
-    right: int | None
-    middle: int | None
 
 
 def find_unit_in_table(table: tuple[tuple[int, ...], ...], kind: UnitKind) -> int | None:
@@ -62,7 +54,3 @@ def middle_unit(q: Quasigroup) -> int | None:
 
 def find_unit(q: Quasigroup, kind: UnitKind) -> int | None:
     return find_unit_in_table(q.mul_table, kind)
-
-
-def unit_profile(q: Quasigroup) -> UnitProfile:
-    return UnitProfile(left_unit(q), right_unit(q), middle_unit(q))

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import THEOREM_CLAIMS, Z3_ROWS
 from qderiv import cli
+from qderiv import survey as survey_mod
 from qderiv.cli import run
 from qderiv.corpus import CorpusDescriptor, iter_corpus
 from qderiv.derivative import all_conventions, apply_derivative
@@ -404,6 +405,46 @@ def test_diff_paper_rejects_a_forged_plus(tmp_path, capsys):
         "differs from a re-scan of exhaustive:4\n"
     )
     assert not (tmp_path / "r.md").exists()
+
+
+def _pull_nothing(desc):
+    raise AssertionError(f"a square of {desc.token} was pulled")
+    yield
+
+
+@pytest.mark.parametrize("skip_scan", [True, False], ids=["skip scan", "scan"])
+def test_diff_paper_names_the_first_of_fifty_forged_pluses(tmp_path, capsys, skip_scan):
+    # 50 counterexamples, spread over the document, rewritten as plus; with
+    # --skip-convention-scan each plus is checked by its probe instead
+    path = tmp_path / "survey.json"
+    assert run(["survey", "--corpus", "exhaustive:4", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    minus = [e for e in doc["cases"] if e["status"] == "counterexample"]
+    for entry in minus[7::30][:50]:
+        del entry["certificate"]
+        entry.update(status="no_counterexample", max_order_checked=4, corpus="exhaustive:4")
+    path.write_text(json.dumps(doc, separators=(",", ":")) + "\n")
+    first = minus[7]
+    argv = ["diff-paper", str(path), "--out", str(tmp_path / "r.md")]
+    if skip_scan:
+        argv.append("--skip-convention-scan")
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: survey sign for {first['spec']}/{first['unit']} under "
+        "args=direct;result=inverse;trans=base differs from a re-scan of exhaustive:4\n"
+    )
+    assert not (tmp_path / "r.md").exists()
+
+
+def test_diff_paper_skip_scan_pulls_no_square_for_an_honest_survey(tmp_path, monkeypatch):
+    # every plus of an honest exhaustive:4 survey is on a tautological probe
+    path, report = tmp_path / "survey.json", tmp_path / "r.md"
+    argv = ["survey", "--corpus", "exhaustive:4", "--convention", "args=inverse;result=direct;trans=base"]
+    assert run(argv + ["--out", str(path)]) == 0
+    monkeypatch.setattr(survey_mod, "iter_corpus_rows", _pull_nothing)
+    assert run(["diff-paper", str(path), "--skip-convention-scan", "--out", str(report)]) == 0
+    assert "- agreement: 1943/1944 agree, 0 disagree, 1 reference-unknown" in report.read_text()
 
 
 # sha256 of the diff-paper report of honest surveys, recorded before the

@@ -12,6 +12,7 @@ from qderiv.derivative import (
     IsotopyTriple,
     all_conventions,
     apply_derivative,
+    derivative_maps,
     enumerate_specs,
     enumerate_triples,
     left_derivative,
@@ -19,7 +20,7 @@ from qderiv.derivative import (
     middle_inverse_derivative,
     right_derivative,
 )
-from qderiv.parastrophe import ParastropheSym
+from qderiv.parastrophe import ParastropheSym, apply_parastrophe
 from qderiv.qcore import TranslationKind, check_identities, from_table, translation_images
 from qderiv.survey import CaseId
 from qderiv.units import find_unit, left_unit, right_unit
@@ -222,3 +223,61 @@ def test_convention_tokens_and_alias():
     assert len({c.token for c in all_conventions()}) == 8
     with pytest.raises(ValueError):
         Convention("sideways", "inverse", "base")
+
+
+# ---------------------------------------------------------------------------
+# Conventions as relabelings: pi_C = Convention.relabel.
+
+# specs pi_C moves, per convention (A applies the arguments directly and
+# the result inversely, in the base quasigroup)
+RELABEL_MOVES = {
+    "args=direct;result=inverse;trans=base": 0,
+    "args=direct;result=direct;trans=base": 432,
+    "args=direct;result=direct;trans=para": 612,
+    "args=direct;result=inverse;trans=para": 540,
+    "args=inverse;result=direct;trans=base": 648,
+    "args=inverse;result=direct;trans=para": 612,
+    "args=inverse;result=inverse;trans=base": 648,
+    "args=inverse;result=inverse;trans=para": 636,
+}
+
+
+def test_relabel_is_a_bijection_of_the_specs_that_keeps_sigma():
+    specs = enumerate_specs()
+    for conv in all_conventions():
+        image = [conv.relabel(s) for s in specs]
+        assert set(image) == set(specs), conv.token
+        assert all(r.sigma is s.sigma for r, s in zip(image, specs)), conv.token
+
+
+def test_relabel_moves_the_stated_number_of_specs():
+    moved = {
+        conv.token: sum(conv.relabel(s) != s for s in enumerate_specs())
+        for conv in all_conventions()
+    }
+    assert moved == RELABEL_MOVES
+
+
+def test_the_reference_convention_inverts_all_three_components():
+    conv = Convention("inverse", "direct", "base")
+    for s in enumerate_specs():
+        t = s.triple
+        want = spec(s.sigma, t.alpha.inverse, t.beta.inverse, t.gamma.inverse)
+        assert conv.relabel(s) == want, s.token
+
+
+def test_derivative_maps_under_a_convention_are_a_maps_of_the_relabeled_spec():
+    # the twelve order-3 squares and the order-4 kill squares 5, 28 and 37,
+    # at every a; derivative_maps applies the switches itself
+    squares = list(enumerate_all(3))
+    squares += [q for i, q in enumerate(enumerate_all(4)) if i in (5, 28, 37)]
+    assert len(squares) == 15
+    specs = enumerate_specs()
+    for q in squares:
+        paras = {sigma: apply_parastrophe(q, sigma) for sigma in ParastropheSym}
+        for conv in all_conventions():
+            for s in specs:
+                r, b = conv.relabel(s), paras[s.sigma]
+                for a in range(q.n):
+                    got = derivative_maps(q, b, a, s, conv)
+                    assert got == derivative_maps(q, b, a, r, CONVENTION_A), (conv.token, s.token)

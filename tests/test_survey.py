@@ -477,3 +477,30 @@ def test_orders_one_and_two_refute_no_probe():
     assert len(squares) == 3
     for rows in squares:
         assert survey._scan_square(rows, refutable) == []
+
+
+def test_a_derived_table_that_is_not_latin_raises(monkeypatch):
+    # derived tables are checked themselves, not through from_table
+    real = survey.derivative_maps
+
+    def collapsed(*args):
+        alpha, beta, gamma = real(*args)
+        return (alpha[0],) * len(alpha), beta, gamma
+
+    monkeypatch.setattr(survey, "derivative_maps", collapsed)
+    with pytest.raises(SurveyError, match=r"derived table of \S+ at a=\d+ is not Latin"):
+        run_survey(EX3, CONVENTION_A)
+
+
+def test_a_survey_under_a_convention_is_the_a_survey_relabeled():
+    # each case under C carries the refutation A gives (pi_C(s), unit)
+    a_survey = run_survey(EX3, CONVENTION_A)
+    for conv in all_conventions():
+        for c, status in run_survey(EX3, conv).statuses.items():
+            a_status = a_survey.statuses[CaseId(conv.relabel(c.spec), c.unit)]
+            assert type(status) is type(a_status)
+            if isinstance(status, Certificate):
+                assert (status.case, status.convention) == (c, conv)
+                assert (status.rows, status.a, status.refutation) == (
+                    a_status.rows, a_status.a, a_status.refutation
+                )

@@ -9,7 +9,6 @@ from qderiv.units import (
     left_unit,
     middle_unit,
     right_unit,
-    unit_profile,
 )
 
 
@@ -26,15 +25,14 @@ def test_second_square_units(q2):
 
 def test_derived_example_tables():
     d1 = from_table(DERIVED_1)
-    assert unit_profile(d1) == unit_profile(d1).__class__(None, None, None)
+    assert (left_unit(d1), right_unit(d1), middle_unit(d1)) == (None, None, None)
     d2 = from_table(DERIVED_2)
     assert middle_unit(d2) is None
 
 
 def test_order_one_has_all_units():
     q = from_table([[0]])
-    p = unit_profile(q)
-    assert (p.left, p.right, p.middle) == (0, 0, 0)
+    assert (left_unit(q), right_unit(q), middle_unit(q)) == (0, 0, 0)
 
 
 def test_returned_units_satisfy_their_equations():

@@ -1,0 +1,122 @@
+#!/usr/bin/env python3
+"""One-line semantic mutants of qderiv, each run against the tier-1 suite.
+
+    python tools/mutants.py
+
+Each mutant is a (file, old text, new text) triple at a place where the
+semantics live.  For each, ``src/``, ``tests/`` and ``pyproject.toml`` are
+copied to a temporary directory, the old text is replaced there, and
+``python -m pytest -x -q -p no:cacheprovider`` runs on the copy, two
+mutants at a time.  A mutant is killed when the suite fails.  The script
+exits 1 if a mutant survives, if its old text does not occur exactly once,
+or if pytest ends other than by failing tests, so a refactor must update
+the list rather than lose a mutant.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKERS = 2
+TIMEOUT_S = 1800
+
+# (name, file under src/qderiv, old text, new text)
+MUTANTS = [
+    (
+        "relabel: transfer when trans=base",
+        "derivative.py",
+        'if self.translation_source == "parastrophe":\n            alpha, beta, gamma',
+        'if self.translation_source == "base":\n            alpha, beta, gamma',
+    ),
+    (
+        "relabel: arguments inverted when acted on like A",
+        "derivative.py",
+        "if self.arg_action != CONVENTION_A.arg_action:",
+        "if self.arg_action == CONVENTION_A.arg_action:",
+    ),
+    (
+        "relabel: result inverted when acted on like A",
+        "derivative.py",
+        "if self.result_action != CONVENTION_A.result_action:",
+        "if self.result_action == CONVENTION_A.result_action:",
+    ),
+    (
+        "case_probe: middle-unit probe reads p and q swapped",
+        "survey.py",
+        "return (ea, _INV[eb], fam) if inv else (eb, _INV[ea], fam)",
+        "return (eb, _INV[ea], fam) if inv else (ea, _INV[eb], fam)",
+    ),
+    (
+        "derived-table Latin check skips the columns",
+        "survey.py",
+        "for line in itertools.chain(rows, zip(*rows))):",
+        "for line in rows):",
+    ),
+    (
+        "derivative_maps: arguments inverted under args=direct",
+        "derivative.py",
+        'if conv.arg_action == "inverse":',
+        'if conv.arg_action == "direct":',
+    ),
+    (
+        "_unit_equation_holds: left unit read as a right unit",
+        "survey.py",
+        "return table[u][x] == x",
+        "return table[x][u] == x",
+    ),
+    (
+        "verify_certificate: any witness suffices",
+        "survey.py",
+        "return all(value != want for value, (_, want) in zip(products, cells))",
+        "return any(value != want for value, (_, want) in zip(products, cells))",
+    ),
+]
+
+
+def _run(mutant: tuple[str, str, str, str]) -> str:
+    """'killed', 'SURVIVED', or what else went wrong."""
+    _, name, old, new = mutant
+    text = (ROOT / "src" / "qderiv" / name).read_text()
+    if text.count(old) != 1:
+        return f"ERROR: old text occurs {text.count(old)} times in {name}"
+    with tempfile.TemporaryDirectory(prefix="qderiv-mutant-") as tmp:
+        work = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", "*.pyc")
+        shutil.copytree(ROOT / "src", work / "src", ignore=skip)
+        shutil.copytree(ROOT / "tests", work / "tests", ignore=skip)
+        shutil.copy(ROOT / "pyproject.toml", work)
+        (work / "src" / "qderiv" / name).write_text(text.replace(old, new))
+        env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
+        cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+        try:
+            done = subprocess.run(
+                cmd, cwd=work, env=env, capture_output=True, text=True, timeout=TIMEOUT_S
+            )
+        except subprocess.TimeoutExpired:
+            return f"ERROR: the suite ran past {TIMEOUT_S} s"
+    if done.returncode == 1:
+        return "killed"
+    if done.returncode == 0:
+        return "SURVIVED"
+    return f"ERROR: pytest exited {done.returncode}: {done.stdout.strip().splitlines()[-1:]}"
+
+
+def main() -> int:
+    with ThreadPoolExecutor(max_workers=WORKERS) as pool:
+        outcomes = list(pool.map(_run, MUTANTS))
+    for (label, name, _, _), outcome in zip(MUTANTS, outcomes):
+        print(f"{outcome:8} {name}: {label}")
+    failed = sum(outcome != "killed" for outcome in outcomes)
+    print(f"{len(MUTANTS) - failed}/{len(MUTANTS)} mutants killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
