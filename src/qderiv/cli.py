@@ -422,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--skip-convention-scan",
         action="store_true",
-        help="omit the per-convention agreement counts",
+        help="omit the per-convention agreement counts; check each + by its probe instead",
     )
     p.set_defaults(func=cmd_diff_paper)
 

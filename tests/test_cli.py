@@ -440,8 +440,8 @@ def test_diff_paper_names_the_first_of_fifty_forged_pluses(tmp_path, capsys, ski
 def test_diff_paper_skip_scan_pulls_no_square_for_an_honest_survey(tmp_path, monkeypatch):
     # every plus of an honest exhaustive:4 survey is on a tautological probe
     path, report = tmp_path / "survey.json", tmp_path / "r.md"
-    argv = ["survey", "--corpus", "exhaustive:4", "--convention", "args=inverse;result=direct;trans=base"]
-    assert run(argv + ["--out", str(path)]) == 0
+    conv = "args=inverse;result=direct;trans=base"
+    assert run(["survey", "--corpus", "exhaustive:4", "--convention", conv, "--out", str(path)]) == 0
     monkeypatch.setattr(survey_mod, "iter_corpus_rows", _pull_nothing)
     assert run(["diff-paper", str(path), "--skip-convention-scan", "--out", str(report)]) == 0
     assert "- agreement: 1943/1944 agree, 0 disagree, 1 reference-unknown" in report.read_text()
@@ -467,3 +467,22 @@ def test_diff_paper_reports_of_honest_surveys_are_unchanged(tmp_path, corpus, co
     assert run(["diff-paper", str(survey), "--out", str(report)]) == 0
     digest = hashlib.sha256(report.read_bytes()).hexdigest()
     assert digest == HONEST_REPORTS[corpus, convention]
+
+
+def test_diff_paper_skip_scan_refuses_a_survey_over_no_refuting_square(tmp_path, capsys):
+    # every plus of a document over exhaustive:2 is a verdict over nothing
+    path = tmp_path / "survey.json"
+    assert run(["survey", "--corpus", "exhaustive:3", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc.update(corpus="exhaustive:2", orders_scanned=[])
+    doc["cases"] = [
+        {"spec": e["spec"], "unit": e["unit"], "status": "no_counterexample",
+         "max_order_checked": 2, "corpus": "exhaustive:2"}
+        for e in doc["cases"]
+    ]
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["diff-paper", str(path), "--skip-convention-scan"]) == 1
+    assert capsys.readouterr().err == (
+        "error: corpus exhaustive:2 holds no squares of order 3 or more\n"
+    )
