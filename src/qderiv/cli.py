@@ -44,6 +44,7 @@ from .survey import (
     minimal_counterexample,
     probe_scan,
     run_survey,
+    tautology_proof,
     verify_certificate,
 )
 from .units import UnitKind, find_unit_in_table, left_unit, middle_unit, right_unit
@@ -175,11 +176,14 @@ def cmd_diff_paper(args) -> int:
     cases = all_cases()
     computed = compute_table(survey)
     if args.skip_convention_scan:
-        # each plus by its probe: proved, or scanned over the corpus
-        plus = [case for case in cases if computed[case] == PLUS]
-        probes = [case_probe(case, survey.convention) for case in plus]
-        kills = probe_scan(survey.corpus, probes)
-        rescanned = zip(plus, (PLUS if kills[p] is None else MINUS for p in probes))
+        # each sign by its probe: a plus must survive a scan of the corpus
+        # (a proved probe always does), and a minus must not be proved
+        probes = [case_probe(case, survey.convention) for case in cases]
+        kills = probe_scan(survey.corpus, [p for c, p in zip(cases, probes) if computed[c] == PLUS])
+        rescanned = []
+        for case, p in zip(cases, probes):
+            plus = kills[p] is None if computed[case] == PLUS else tautology_proof(p) is not None
+            rescanned.append((case, PLUS if plus else MINUS))
     else:
         signs = _convention_signs(survey.corpus)
         rescanned = zip(cases, signs[survey.convention])

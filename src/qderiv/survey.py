@@ -22,15 +22,14 @@ of them has failed.  A case without a counterexample is thus either proved
 or bounded evidence over the corpus scanned.
 
 The derivative of spec s under convention C is that of pi_C(s) =
-C.relabel(s) under A, so the 1944 A cases are compiled, scanned and derived
+C.relabel(s) under A, so the 1944 A cases are compiled, scanned and refuted
 once (_survey_kills), and a case under C takes its A case's kill and
-derived table (_relabeled_cells).  Certificates are built from that full
-table, independent of the probe shortcut, so an unsound probe would surface
-as an impossible certificate; each table is composed and checked to be
-Latin once per call (_Derivatives).  The convention agreement table builds
-no certificate: it checks the table of every A minus for the case's unit,
-exactly when a certificate could not be built, and reads the eight sign
-lists through pi_C.
+refutation (_relabeled_cells).  A refutation is read from the derivative's
+maps at one cell per unit equation, independent of the probe shortcut, so
+an unsound probe surfaces as a candidate that no cell refutes; no derived
+table is composed.  The convention agreement table builds no certificate:
+it keeps the sign of every A case and reads the eight sign lists through
+pi_C.
 """
 
 from __future__ import annotations
@@ -50,16 +49,17 @@ from .derivative import (
     DerivativeSpec,
     all_conventions,
     apply_derivative,  # survey.apply_derivative is a traced name in benchmarks/layers.py
-    compose_derivative,
+    Maps,
     derivative_maps,
     derivative_products,
     enumerate_specs,
 )
 from .parastrophe import TRANSFER, ParastropheSym, apply_parastrophe
 from .qcore import Quasigroup, QuasigroupError, TranslationKind, from_table, invert_images
-from .units import UnitKind, find_unit_in_table
+from .units import UnitKind
 
 Rows = tuple[tuple[int, ...], ...]
+Refutation = tuple[tuple[int, int], ...]  # (candidate, witness) pairs
 
 
 class SurveyError(Exception):
@@ -95,7 +95,7 @@ class Certificate:
     a: int
     case: CaseId
     convention: Convention
-    refutation: tuple[tuple[int, int], ...]  # (candidate, witness) pairs
+    refutation: Refutation
 
     @property
     def order(self) -> int:
@@ -283,16 +283,6 @@ def probe_scan(desc: CorpusDescriptor, probes: Iterable[Probe]) -> dict[Probe, K
 # Certificates.
 
 
-def _unit_equation_holds(
-    table: Sequence[Sequence[int]], unit: UnitKind, u: int, x: int
-) -> bool:
-    if unit is UnitKind.LEFT:
-        return table[u][x] == x
-    if unit is UnitKind.RIGHT:
-        return table[x][u] == x
-    return table[x][x] == u
-
-
 def _unit_cell(unit: UnitKind, u: int, x: int) -> tuple[tuple[int, int], int]:
     """The cell the unit equation of candidate u reads at x, and the value it needs there."""
     if unit is UnitKind.LEFT:
@@ -309,32 +299,46 @@ def _unsound(case: CaseId, u: int, a: int) -> SurveyError:
     )
 
 
-def build_certificate(
-    rows: Rows, a: int, case: CaseId, conv: Convention, table: Rows
-) -> Certificate:
-    """Refutation witnesses for every candidate, from the full derivative.
+def _permutations(maps: Maps, n: int) -> bool:
+    """Whether alpha, beta and gamma each permute range(n).
 
-    ``table`` is the Cayley table of the derivative of ``rows`` at ``a``,
-    built and validated by the caller (a survey shares them, see
-    _Derivatives).  Raises SurveyError if some candidate is actually a unit;
-    that would mean the probe that selected (rows, a) was unsound.
+    With a Latin B that is exactly when the derivative is Latin.
     """
-    n = len(rows)
+    elements = set(range(n))
+    return all(len(m) == n and set(m) == elements for m in maps)
+
+
+def _refutation(b: Quasigroup, maps: Maps, case: CaseId, a: int) -> Refutation:
+    """The first x at which each candidate's unit equation fails in the derivative.
+
+    The derivative is that of ``b`` with ``maps`` (derivative_maps), read one
+    cell at a time (_unit_cell) up to the first failure.  Raises SurveyError
+    if some candidate is actually a unit; that would mean the probe that
+    selected the kill square was unsound.
+    """
+    n = b.n
     refutation = []
     for u in range(n):
-        witness = next(
-            (x for x in range(n) if not _unit_equation_holds(table, case.unit, u, x)),
-            None,
-        )
-        if witness is None:
+        for x in range(n):
+            cell, want = _unit_cell(case.unit, u, x)
+            if derivative_products(b, maps, (cell,))[0] != want:
+                refutation.append((u, x))
+                break
+        else:
             raise _unsound(case, u, a)
-        refutation.append((u, witness))
+    return tuple(refutation)
+
+
+def build_certificate(
+    rows: Rows, a: int, case: CaseId, conv: Convention, refutation: Refutation
+) -> Certificate:
+    """The certificate of a case from its kill square and the refutation found there."""
     return Certificate(
         rows=tuple(tuple(r) for r in rows),
         a=a,
         case=case,
         convention=conv,
-        refutation=tuple(refutation),
+        refutation=refutation,
     )
 
 
@@ -366,9 +370,7 @@ def verify_certificate(cert: Certificate) -> bool:
     spec, unit = cert.case.spec, cert.case.unit
     b = q if spec.sigma is ParastropheSym.ID else apply_parastrophe(q, spec.sigma)
     maps = derivative_maps(q, b, cert.a, spec, cert.convention)
-    # b is Latin, so the derivative is Latin exactly when its maps are permutations
-    elements = set(range(n))
-    if any(len(m) != n or set(m) != elements for m in maps):
+    if not _permutations(maps, n):
         return False
     cells = [_unit_cell(unit, u, x) for u, x in cert.refutation]
     products = derivative_products(b, maps, (cell for cell, _ in cells))
@@ -379,73 +381,39 @@ def verify_certificate(cert: Certificate) -> bool:
 # Surveys.
 
 
-class _Derivatives:
-    """The derived tables of one survey call under A, each composed and checked once.
-
-    A derived table is gamma(B(alpha(x), beta(y))) for the sigma-parastrophe
-    B of the kill square, with an A spec's maps (derivative_maps, as
-    apply_derivative); conventions reach it through pi_C, so no key holds
-    one.  The base quasigroup is built once per square, each parastrophe once
-    per sigma, the maps once per (square, a, spec) and the table once per
-    distinct maps.  Tables are checked to be Latin (_latin_rows), not built
-    by from_table, whose division tables nothing here reads.
-    """
-
-    def __init__(self) -> None:
-        self._paras: dict[tuple[int, int], dict[ParastropheSym, Quasigroup]] = {}
-        self._tables: dict[tuple, Rows] = {}
-        self._by_spec: dict[tuple, Rows] = {}
-
-    def table(self, kill: Kill, spec: DerivativeSpec) -> Rows:
-        order, idx, a, rows = kill
-        spec_key = (order, idx, a, spec)
-        table = self._by_spec.get(spec_key)
-        if table is None:
-            table = self._by_spec[spec_key] = self._derive(kill, spec)
-        return table
-
-    def _derive(self, kill: Kill, spec: DerivativeSpec) -> Rows:
-        order, idx, a, rows = kill
-        paras = self._paras.get((order, idx))
-        if paras is None:
-            paras = self._paras[order, idx] = {ParastropheSym.ID: from_table(rows)}
-        q = paras[ParastropheSym.ID]
-        b = paras.get(spec.sigma)
-        if b is None:
-            b = paras[spec.sigma] = apply_parastrophe(q, spec.sigma)
-        maps = derivative_maps(q, b, a, spec, CONVENTION_A)
-        key = (order, idx, spec.sigma, maps)
-        table = self._tables.get(key)
-        if table is None:
-            table = self._tables[key] = _latin_rows(compose_derivative(b, maps), spec, a)
-        return table
-
-
-def _latin_rows(table: list[list[int]], spec: DerivativeSpec, a: int) -> Rows:
-    """The table as row tuples; SurveyError unless every row and column permutes range(n)."""
-    rows = tuple(map(tuple, table))
-    elements = set(range(len(rows)))
-    if any(set(line) != elements for line in itertools.chain(rows, zip(*rows))):
-        raise SurveyError(f"derived table of {spec.token} at a={a} is not Latin")
-    return rows
-
-
 def _survey_kills(
     desc: CorpusDescriptor, cases: Sequence[CaseId]
-) -> Iterator[tuple[Kill | None, Rows | None]]:
-    """(kill, derived) for each of the cases under A, from one scan.
+) -> Iterator[tuple[Kill | None, Refutation | None]]:
+    """(kill, refutation) for each of the cases under A, from one scan.
 
     ``kill`` is the minimal counterexample of the case's probe, or None when
-    there is none; ``derived`` is then None, and otherwise the derivative of
-    the kill square at its a, the table that must refute the case's unit
-    (_Derivatives).
+    there is none; ``refutation`` is then None, and otherwise a witness for
+    every candidate in the derivative of the kill square at its a
+    (_refutation), so every A minus is checked here, once.  The base
+    quasigroup of each kill square and each of its sigma-parastrophes are
+    built once per call; the derivative's maps must be permutations, which
+    with a Latin B is exactly a Latin derivative.
     """
     probes = [case_probe(case, CONVENTION_A) for case in cases]
     kills = probe_scan(desc, set(probes))
-    derivatives = _Derivatives()
+    bases: dict[tuple[int, int, ParastropheSym], Quasigroup] = {}
     for case, probe in zip(cases, probes):
         kill = kills[probe]
-        yield kill, None if kill is None else derivatives.table(kill, case.spec)
+        if kill is None:
+            yield None, None
+            continue
+        order, idx, a, rows = kill
+        spec = case.spec
+        q = bases.get((order, idx, ParastropheSym.ID))
+        if q is None:
+            q = bases[order, idx, ParastropheSym.ID] = from_table(rows)
+        b = bases.get((order, idx, spec.sigma))
+        if b is None:
+            b = bases[order, idx, spec.sigma] = apply_parastrophe(q, spec.sigma)
+        maps = derivative_maps(q, b, a, spec, CONVENTION_A)
+        if not _permutations(maps, order):
+            raise SurveyError(f"derived table of {spec.token} at a={a} is not Latin")
+        yield kill, _refutation(b, maps, case, a)
 
 
 def _relabeled_cells(conv: Convention) -> list[int]:
@@ -461,10 +429,9 @@ def run_survey_multi(
 ) -> dict[Convention, SurveyResult]:
     """One corpus pass under A shared by several conventions.
 
-    A case under C files, as its own, the certificate of its A case
-    (_relabeled_cells): the derived tables are equal, so the bytes are too.
-    Every certificate is built from the derived table, so an unsound probe
-    raises SurveyError here.
+    A case under C files, as its own, the kill and refutation of its A case
+    (_relabeled_cells): the derivatives are equal, so the bytes are too.  An
+    unsound probe raises SurveyError here (_survey_kills).
     """
     cases = all_cases()
     cells = list(_survey_kills(desc, cases))
@@ -473,9 +440,9 @@ def run_survey_multi(
     for conv in conventions:
         statuses: dict[CaseId, Certificate | NoCounterexample] = {}
         for case, i in zip(cases, _relabeled_cells(conv)):
-            kill, derived = cells[i]
+            kill, refutation = cells[i]
             statuses[case] = none_found if kill is None else build_certificate(
-                kill[3], kill[2], case, conv, derived
+                kill[3], kill[2], case, conv, refutation
             )
         results[conv] = SurveyResult(conv, desc, statuses)
     return results
@@ -500,18 +467,18 @@ def minimal_counterexample(
 ) -> Certificate | None:
     """First counterexample scanning orders 3..max_order exhaustively.
 
-    A survey of the one case: the same scan and derived table as
+    A survey of the one case: the same scan and refutation as
     run_survey_multi, so the certificate is the one a survey would file.
 
     ``jobs`` is accepted for existing callers and ignored: the scan is
     sequential.
     """
     desc = CorpusDescriptor("exhaustive", max_order)
-    ((kill, derived),) = _survey_kills(desc, [CaseId(conv.relabel(case.spec), case.unit)])
+    ((kill, refutation),) = _survey_kills(desc, [CaseId(conv.relabel(case.spec), case.unit)])
     if kill is None:
         return None
     _, _, a, rows = kill
-    return build_certificate(rows, a, case, conv, derived)
+    return build_certificate(rows, a, case, conv, refutation)
 
 
 # ---------------------------------------------------------------------------
@@ -631,23 +598,13 @@ def convention_agreement_table(
 def _convention_signs(desc: CorpusDescriptor) -> dict[Convention, list[str]]:
     """The sign of every case under each of the eight conventions, in all_cases order.
 
-    The 1944 A cases are derived once and each convention's list is A's read
+    The 1944 A cases are refuted once and each convention's list is A's read
     through pi_C (_relabeled_cells).  Only signs are kept, so no certificate
-    is built: the derived table of every A minus is checked for the case's
-    unit instead (an identity row, an identity column or a constant
-    diagonal), the condition on which build_certificate raises, and an
-    unsound probe raises SurveyError here too.
+    is built; every A minus is still refuted cell by cell in _survey_kills,
+    so an unsound probe raises SurveyError here too.
     """
     cases = all_cases()
-    signs = []
-    for case, (kill, derived) in zip(cases, _survey_kills(desc, cases)):
-        if kill is None:
-            signs.append(PLUS)
-            continue
-        u = find_unit_in_table(derived, case.unit)
-        if u is not None:
-            raise _unsound(case, u, kill[2])
-        signs.append(MINUS)
+    signs = [PLUS if kill is None else MINUS for kill, _ in _survey_kills(desc, cases)]
     return {conv: [signs[i] for i in _relabeled_cells(conv)] for conv in all_conventions()}
 
 

@@ -23,6 +23,15 @@ THEOREM_CLAIMS = {
 }
 
 
+def unit_equation_holds(table, unit: UnitKind, u: int, x: int) -> bool:
+    """The unit equation of candidate u at x, read off a whole Cayley table."""
+    if unit is UnitKind.LEFT:
+        return table[u][x] == x
+    if unit is UnitKind.RIGHT:
+        return table[x][u] == x
+    return table[x][x] == u
+
+
 @pytest.fixture
 def z3() -> Quasigroup:
     return from_table(Z3_ROWS)

@@ -437,6 +437,33 @@ def test_diff_paper_names_the_first_of_fifty_forged_pluses(tmp_path, capsys, ski
     assert not (tmp_path / "r.md").exists()
 
 
+@pytest.mark.parametrize("skip_scan", [True, False], ids=["skip scan", "scan"])
+def test_diff_paper_rejects_a_forged_minus_on_a_proved_case(tmp_path, capsys, skip_scan):
+    # 23:L,L,E/f is proved (L_a is row a) and the reference says minus, so a
+    # minus filed there agrees with the reference and its certificate, taken
+    # from another case, is never printed or checked
+    path = tmp_path / "survey.json"
+    assert run(["survey", "--corpus", "exhaustive:4", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    forged = next(e for e in doc["cases"] if (e["spec"], e["unit"]) == ("23:L,L,E", "f"))
+    assert forged["status"] == "no_counterexample"
+    other = next(e for e in doc["cases"] if e["status"] == "counterexample")
+    cert = dict(other["certificate"], spec=forged["spec"], unit=forged["unit"])
+    forged.clear()
+    forged.update(spec=cert["spec"], unit=cert["unit"], status="counterexample", certificate=cert)
+    path.write_text(json.dumps(doc, separators=(",", ":")) + "\n")
+    argv = ["diff-paper", str(path), "--out", str(tmp_path / "r.md")]
+    if skip_scan:
+        argv.append("--skip-convention-scan")
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: survey sign for 23:L,L,E/f under args=direct;result=inverse;trans=base "
+        "differs from a re-scan of exhaustive:4\n"
+    )
+    assert not (tmp_path / "r.md").exists()
+
+
 def test_diff_paper_skip_scan_pulls_no_square_for_an_honest_survey(tmp_path, monkeypatch):
     # every plus of an honest exhaustive:4 survey is on a tautological probe
     path, report = tmp_path / "survey.json", tmp_path / "r.md"

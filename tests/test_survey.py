@@ -1,22 +1,25 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import random
 
 import pytest
 
-from conftest import Z3_ROWS
+from conftest import Z3_ROWS, unit_equation_holds
 from qderiv.corpus import CorpusDescriptor, OrderTooLargeError, enumerate_all, random_square
 from qderiv.derivative import (
     CONVENTION_A,
     Convention,
     all_conventions,
     apply_derivative,
+    derivative_maps,
     enumerate_specs,
 )
 from qderiv.qcore import from_table, translation_images, TranslationKind
 from qderiv import survey
+from qderiv.reportio import survey_to_json
 from qderiv.survey import (
     CaseId,
     Certificate,
@@ -220,11 +223,16 @@ def test_certificate_with_non_latin_table_is_false():
 
 
 def test_build_certificate_rejects_satisfiable_case():
-    # (Id,(L,E,L)) always has a left unit, so no certificate can exist
+    # (Id,(L,E,L)) always has a left unit, so no refutation, and no
+    # certificate, can exist: the witness search raises on that unit
     c = case("e:L,E,L/f")
-    table = apply_derivative(from_table(Z3_ROWS), 0, c.spec, CONVENTION_A).mul_table
-    with pytest.raises(SurveyError):
-        build_certificate(Z3_ROWS, 0, c, CONVENTION_A, table)
+    q = from_table(Z3_ROWS)
+    table = apply_derivative(q, 0, c.spec, CONVENTION_A).mul_table
+    units = [u for u in range(3) if all(unit_equation_holds(table, c.unit, u, x) for x in range(3))]
+    assert units == [0]
+    maps = derivative_maps(q, q, 0, c.spec, CONVENTION_A)
+    with pytest.raises(SurveyError, match="probe unsound: candidate 0 is a f-unit for case e:L,E,L/f"):
+        survey._refutation(q, maps, c, 0)
 
 
 def test_minimal_counterexample_examples():
@@ -404,8 +412,8 @@ def _eight_surveys(desc):
 )
 def test_unsound_probe_raises_on_every_path(monkeypatch, scan):
     # a proved case compiled to a refutable probe must be caught by the unit
-    # its derived table has, through its certificate or the convention
-    # table's unit check, for each kind of unit
+    # its derivative has, through the witness search every path shares, for
+    # each kind of unit
     refutable = case_probe(case("23:L,Pi,E/f"), CONVENTION_A)
     real = survey.case_probe
     for unit in UnitKind:
@@ -423,13 +431,19 @@ def test_unsound_probe_raises_on_every_path(monkeypatch, scan):
 
 
 def test_shared_derived_tables_give_the_uncached_certificates():
+    # each witness is the first x at which the unit equation fails in the
+    # whole derived table of the case under its own convention
     for conv, result in _eight_surveys(EX4).items():
         certs = [s for s in result.statuses.values() if isinstance(s, Certificate)]
         assert len(certs) == 1728
         for cert in certs:
-            spec = cert.case.spec
+            spec, unit, n = cert.case.spec, cert.case.unit, cert.order
             table = apply_derivative(from_table(cert.rows), cert.a, spec, conv).mul_table
-            assert cert == build_certificate(cert.rows, cert.a, cert.case, conv, table)
+            refutation = tuple(
+                (u, next(x for x in range(n) if not unit_equation_holds(table, unit, u, x)))
+                for u in range(n)
+            )
+            assert cert == build_certificate(cert.rows, cert.a, cert.case, conv, refutation)
             assert verify_certificate(cert)
 
 
@@ -454,8 +468,8 @@ def test_convention_table_builds_each_derived_table_once(monkeypatch):
         )
     desc = CorpusDescriptor.parse("random:16:seed=1:count=300")
     convention_agreement_table(desc, embedded_paper_table())
-    # one base square, its five other parastrophes, 648 distinct derived tables
-    assert 0 < len(calls) <= 1 + 5 + 648
+    # one base square and its five other parastrophes; no derived table
+    assert len(calls) == 1 + 5
 
 
 def test_convention_table_counts_equal_the_full_surveys():
@@ -479,13 +493,15 @@ def test_orders_one_and_two_refute_no_probe():
         assert survey._scan_square(rows, refutable) == []
 
 
-def test_a_derived_table_that_is_not_latin_raises(monkeypatch):
-    # derived tables are checked themselves, not through from_table
+@pytest.mark.parametrize("which", [0, 1, 2], ids=["alpha", "beta", "gamma"])
+def test_a_derived_table_that_is_not_latin_raises(monkeypatch, which):
+    # the derivative's maps are checked to be permutations, each of the three
     real = survey.derivative_maps
 
     def collapsed(*args):
-        alpha, beta, gamma = real(*args)
-        return (alpha[0],) * len(alpha), beta, gamma
+        maps = list(real(*args))
+        maps[which] = (maps[which][0],) * len(maps[which])
+        return tuple(maps)
 
     monkeypatch.setattr(survey, "derivative_maps", collapsed)
     with pytest.raises(SurveyError, match=r"derived table of \S+ at a=\d+ is not Latin"):
@@ -504,3 +520,31 @@ def test_a_survey_under_a_convention_is_the_a_survey_relabeled():
                 assert (status.rows, status.a, status.refutation) == (
                     a_status.rows, a_status.a, a_status.refutation
                 )
+
+
+def test_no_derived_table_is_composed_on_the_survey_path(monkeypatch):
+    # refutations are read at single cells of the derivative, never from a
+    # composed table, under any name the survey module could hold
+    from qderiv import derivative
+    from test_pinned import SURVEY_DIGESTS
+
+    paper = embedded_paper_table()
+    r16 = CorpusDescriptor.parse("random:16:seed=1:count=3")
+    want_r16 = convention_agreement_table(r16, paper)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a derived table was composed")
+
+    monkeypatch.setattr(derivative, "compose_derivative", refuse)
+    monkeypatch.setattr(survey, "compose_derivative", refuse, raising=False)
+    results = _eight_surveys(EX4)
+    digests = tuple(
+        hashlib.sha256(survey_to_json(results[conv]).encode()).hexdigest()
+        for conv in all_conventions()
+    )
+    assert digests == SURVEY_DIGESTS["exhaustive:4"]
+    assert convention_agreement_table(EX4, paper) == {
+        conv.token: agreement_counts(compute_table(result), paper)
+        for conv, result in results.items()
+    }
+    assert convention_agreement_table(r16, paper) == want_r16

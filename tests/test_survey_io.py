@@ -27,11 +27,11 @@ from qderiv.reportio import (
 from qderiv.survey import (
     Certificate,
     SurveyResult,
-    _unit_equation_holds,
     run_survey,
     run_survey_multi,
     verify_certificate,
 )
+from conftest import unit_equation_holds
 from test_fuzz import JSON_VALUES, _edit, _paths
 from test_pinned import SURVEY_DIGESTS
 
@@ -136,7 +136,7 @@ def full_table_verdict(cert: Certificate) -> bool:
         return False
     table = apply_derivative(q, cert.a, cert.case.spec, cert.convention).mul_table
     return all(
-        not _unit_equation_holds(table, cert.case.unit, u, x) for u, x in cert.refutation
+        not unit_equation_holds(table, cert.case.unit, u, x) for u, x in cert.refutation
     )
 
 

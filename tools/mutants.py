@@ -30,6 +30,12 @@ TIMEOUT_S = 1800
 # (name, file under src/qderiv, old text, new text)
 MUTANTS = [
     (
+        "_ROLE_MAP: 13 takes the role map of 132",
+        "parastrophe.py",
+        "ParastropheSym.S13: (2, 0, 1),",
+        "ParastropheSym.S13: (1, 2, 0),",
+    ),
+    (
         "relabel: transfer when trans=base",
         "derivative.py",
         'if self.translation_source == "parastrophe":\n            alpha, beta, gamma',
@@ -54,10 +60,16 @@ MUTANTS = [
         "return (eb, _INV[ea], fam) if inv else (ea, _INV[eb], fam)",
     ),
     (
-        "derived-table Latin check skips the columns",
+        "tautology_proof: (generator, E) is not proved, only (E, generator)",
         "survey.py",
-        "for line in itertools.chain(rows, zip(*rows))):",
-        "for line in rows):",
+        "if {i, j} == {0, _GENERATOR_INDEX[fam]}:",
+        "if (i, j) == (0, _GENERATOR_INDEX[fam]):",
+    ),
+    (
+        "derivative maps check skips gamma",
+        "survey.py",
+        "return all(len(m) == n and set(m) == elements for m in maps)",
+        "return all(len(m) == n and set(m) == elements for m in maps[:2])",
     ),
     (
         "derivative_maps: arguments inverted under args=direct",
@@ -66,10 +78,10 @@ MUTANTS = [
         'if conv.arg_action == "direct":',
     ),
     (
-        "_unit_equation_holds: left unit read as a right unit",
+        "_unit_cell: left unit read at the right unit's cell",
         "survey.py",
-        "return table[u][x] == x",
-        "return table[x][u] == x",
+        "return (u, x), x",
+        "return (x, u), x",
     ),
     (
         "verify_certificate: any witness suffices",
