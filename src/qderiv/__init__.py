@@ -6,7 +6,6 @@ from .qcore import (
     Quasigroup,
     QuasigroupError,
     TranslationKind,
-    check_identities,
     from_table,
 )
 from .parastrophe import ParastropheSym, apply_parastrophe, verify_translation_transfer
@@ -52,7 +51,6 @@ __all__ = [
     "all_conventions",
     "apply_derivative",
     "apply_parastrophe",
-    "check_identities",
     "count_all",
     "enumerate_all",
     "enumerate_reduced",

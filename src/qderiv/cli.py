@@ -163,8 +163,14 @@ def cmd_certify(args) -> int:
 def cmd_diff_paper(args) -> int:
     survey = reportio.survey_from_json(_read_text(args.survey))
     paper = embedded_paper_table()
-    report = diff_against_paper(survey, paper)
-    for cert in (cell.certificate for cell in report.cells if cell.certificate is not None):
+    cases = all_cases()
+    computed = compute_table(survey)
+    probes = [case_probe(case, survey.convention) for case in cases]
+    # checked before any scan: no minus is on a proved case, and every
+    # certificate, printed or not, refutes its case
+    proved = [c for c, p in zip(cases, probes) if tautology_proof(p) is not None]
+    _reject_signs(survey, [c for c in proved if computed[c] == MINUS])
+    for cert in (s for s in survey.statuses.values() if isinstance(s, Certificate)):
         try:
             refutes = verify_certificate(cert)
         except MalformedCertificateError:
@@ -173,30 +179,29 @@ def cmd_diff_paper(args) -> int:
             raise reportio.ParseError(
                 f"certificate for {cert.case.token} under {cert.convention.token} does not refute"
             )
-    cases = all_cases()
-    computed = compute_table(survey)
+    report = diff_against_paper(survey, paper)
     if args.skip_convention_scan:
-        # each sign by its probe: a plus must survive a scan of the corpus
-        # (a proved probe always does), and a minus must not be proved
-        probes = [case_probe(case, survey.convention) for case in cases]
-        kills = probe_scan(survey.corpus, [p for c, p in zip(cases, probes) if computed[c] == PLUS])
-        rescanned = []
-        for case, p in zip(cases, probes):
-            plus = kills[p] is None if computed[case] == PLUS else tautology_proof(p) is not None
-            rescanned.append((case, PLUS if plus else MINUS))
+        # a plus must survive a scan of the corpus (a proved probe always does)
+        pluses = [(c, p) for c, p in zip(cases, probes) if computed[c] == PLUS]
+        kills = probe_scan(survey.corpus, [p for _, p in pluses])
+        _reject_signs(survey, [c for c, p in pluses if kills[p] is not None])
     else:
         signs = _convention_signs(survey.corpus)
         rescanned = zip(cases, signs[survey.convention])
+        _reject_signs(survey, [c for c, sign in rescanned if computed[c] != sign])
         agreements = _agreement_counts(signs, paper, cases)
         report = dataclasses.replace(report, convention_agreements=agreements)
-    for case, sign in rescanned:
-        if computed[case] != sign:
-            raise reportio.ParseError(
-                f"survey sign for {case.token} under {survey.convention.token} "
-                f"differs from a re-scan of {survey.corpus.token}"
-            )
     _write_text(args.out, reportio.diff_report_markdown(report))
     return EXIT_OK
+
+
+def _reject_signs(survey, wrong: list[CaseId]) -> None:
+    """ParseError naming the first case whose survey sign a re-scan contradicts, if any."""
+    if wrong:
+        raise reportio.ParseError(
+            f"survey sign for {wrong[0].token} under {survey.convention.token} "
+            f"differs from a re-scan of {survey.corpus.token}"
+        )
 
 
 # ---------------------------------------------------------------------------

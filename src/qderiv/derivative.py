@@ -13,7 +13,8 @@ to the product, and takes all translations in the base quasigroup:
     x . y = gamma^-1( B(alpha(x), beta(y)) )      B = sigma-parastrophe
 
 Every other convention names the same 648 derivatives by other specs
-(Convention.relabel).
+(Convention.relabel).  Under A the parastrophes of a derivative at a are
+derivatives at a again, so S3 acts on the specs (act).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .parastrophe import KINDS, ROW_ORDER, ParastropheSym, apply_parastrophe, transfer_kind
+from .parastrophe import KINDS, ROW_ORDER, ParastropheSym, act_roles, apply_parastrophe, transfer_kind
 from .qcore import Quasigroup, TranslationKind, from_table, invert_images, translation_images
 
 
@@ -119,6 +120,18 @@ def all_conventions() -> tuple[Convention, ...]:
         if Convention(a, r, t) != CONVENTION_A
     )
     return (CONVENTION_A,) + rest
+
+
+def act(tau: ParastropheSym, spec: DerivativeSpec) -> DerivativeSpec:
+    """The spec, under A, of the tau-parastrophe of spec's derivative at any a.
+
+    apply_parastrophe(apply_derivative(q, a, spec), tau) equals
+    apply_derivative(q, a, act(tau, spec)): the parastrophe composes and the
+    triple's slots move by pi_tau, none inverted (act_roles).
+    """
+    sigma, slots = act_roles(tau, spec.sigma)
+    kinds = (spec.triple.alpha, spec.triple.beta, spec.triple.gamma)
+    return DerivativeSpec(sigma, IsotopyTriple(*(kinds[i] for i in slots)))
 
 
 # Block layout of the 648 specs: for each base kind k, the patterns

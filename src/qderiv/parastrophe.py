@@ -18,7 +18,10 @@ TranslationKind.  Everything else follows from them:
     For example pi = (1, 2, 0) for 132 takes R = (1, 0, 2) to
     (0, 2, 1) = Li: R_a of B(x, y) = y\\x is x -> a\\x, which is Li_a of q;
   * the rows, columns and middle translations of B are TRANSFER[sigma] of
-    L, R and P; the survey's family tables are read off those three kinds.
+    L, R and P; the survey's family table is read off the rows;
+  * the tau-parastrophe of a derivative with sigma-parastrophe B is a
+    derivative with the parastrophe of pi_tau after pi_sigma and its
+    triple's slots permuted by pi_tau (act_roles).
 
 verify_translation_transfer checks all 36 transfer cells against
 translations read off the actual tables.
@@ -92,6 +95,22 @@ def apply_parastrophe(q: Quasigroup, sigma: ParastropheSym) -> Quasigroup:
             t = (x, y, z)
             rows[t[r0]][t[r1]] = t[r2]
     return from_table(rows)
+
+
+def act_roles(
+    tau: ParastropheSym, sigma: ParastropheSym
+) -> tuple[ParastropheSym, tuple[int, ...]]:
+    """(sigma', slots): tau acting on the derivatives with sigma-parastrophe.
+
+    sigma' has the role map i -> pi_tau[pi_sigma[i]], and slot i of the new
+    isotopy triple is slot slots[i] = pi_tau^-1(i) of the old one; the
+    constant role r of a unit becomes pi_tau[r], so slots[0] is the role
+    that becomes a left unit's.
+    """
+    pt, ps = _ROLE_MAP[tau], _ROLE_MAP[sigma]
+    roles = tuple(pt[i] for i in ps)
+    moved = next(s for s, pi in _ROLE_MAP.items() if pi == roles)
+    return moved, tuple(pt.index(i) for i in range(3))
 
 
 def _transferred(kind: TranslationKind, pi: tuple[int, int, int]) -> TranslationKind:

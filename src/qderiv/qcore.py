@@ -186,49 +186,3 @@ def from_table(rows: Sequence[Sequence[int]]) -> Quasigroup:
         ldiv_table=tuple(map(tuple, ldiv)),
         rdiv_table=tuple(map(tuple, rdiv)),
     )
-
-
-@dataclass(frozen=True)
-class IdentityCheck:
-    name: str
-    holds: bool
-    failure: tuple[int, int] | None  # first failing (x, y), if any
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    checks: tuple[IdentityCheck, ...]
-
-    @property
-    def all_hold(self) -> bool:
-        return all(c.holds for c in self.checks)
-
-
-def check_identities(q: Quasigroup) -> IdentityReport:
-    """Test the six division identities over all pairs (x, y).
-
-    The first four hold by construction of the division tables; the last
-    two then follow, but all six are rechecked by full double loop.
-    """
-    mul, ld, rd = q.mul, q.ldiv, q.rdiv
-    identities = (
-        ("x*(x\\y) = y", lambda x, y: mul(x, ld(x, y)) == y),
-        ("(y/x)*x = y", lambda x, y: mul(rd(y, x), x) == y),
-        ("x\\(x*y) = y", lambda x, y: ld(x, mul(x, y)) == y),
-        ("(y*x)/x = y", lambda x, y: rd(mul(y, x), x) == y),
-        ("x/(y\\x) = y", lambda x, y: rd(x, ld(y, x)) == y),
-        ("(x/y)\\x = y", lambda x, y: ld(rd(x, y), x) == y),
-    )
-    checks = []
-    rng = range(q.n)
-    for name, pred in identities:
-        failure = None
-        for x in rng:
-            for y in rng:
-                if not pred(x, y):
-                    failure = (x, y)
-                    break
-            if failure:
-                break
-        checks.append(IdentityCheck(name, failure is None, failure))
-    return IdentityReport(tuple(checks))

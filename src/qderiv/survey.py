@@ -2,16 +2,12 @@
 
 Unit existence in a derivative never needs the derived table: with
 D(x,y) = g(B(p(x), q(y))) for bijections p, q, g and B the
-sigma-parastrophe,
-
-  * a left unit exists   iff  g^-1 . q^-1  is a row of B,
-  * a right unit exists  iff  g^-1 . p^-1  is a column of B,
-  * a middle unit exists iff  q . p^-1     is a middle translation of B,
-
-and rows/columns/middle translations of B are one of the three translation
-families of the base square.  Every case therefore compiles to a single
-probe (compose two of the seven translations at a, test membership in one
-family).
+sigma-parastrophe, a left unit exists iff g^-1 . q^-1 is a row of B, and
+the rows of B are one of the three translation families of the base
+square.  A right or middle unit of D is a left unit of a parastrophe of D,
+which is again a derivative (derivative.act), so every case compiles to a
+single probe (compose two of the seven translations at a, test membership
+in one family).
 
 Six probes are a family's generator composed with the identity; they hold
 in every quasigroup (L_a is row a, R_a is column a, P_a is middle
@@ -54,7 +50,7 @@ from .derivative import (
     derivative_products,
     enumerate_specs,
 )
-from .parastrophe import TRANSFER, ParastropheSym, apply_parastrophe
+from .parastrophe import TRANSFER, ParastropheSym, act_roles, apply_parastrophe
 from .qcore import Quasigroup, QuasigroupError, TranslationKind, from_table, invert_images
 from .units import UnitKind
 
@@ -153,33 +149,45 @@ def _family(kind: TranslationKind) -> tuple[int, bool]:
     return fixed, source > target
 
 
-# (family, test_inverse) of the rows / columns / middle translations of each
-# parastrophe, expressed in base-square families.
-_ROW_FAMILY, _COL_FAMILY, _MID_FAMILY = (
-    {sigma: _family(kinds[generator]) for sigma, kinds in TRANSFER.items()}
-    for generator in _GENERATORS
-)
+# (family, test_inverse) of the rows of each parastrophe, in base-square families.
+_ROW_FAMILY = {sigma: _family(kinds[TranslationKind.L]) for sigma, kinds in TRANSFER.items()}
+
+
+def _left_mate(role: int, sigma: ParastropheSym) -> tuple[ParastropheSym, int, int]:
+    """The left-unit orbit-mate of a sigma case whose unit has the constant role.
+
+    The mate is the tau-parastrophe (derivative.act) for the first tau that
+    moves the role to 0.  A unit's constant role is its place in UNIT_ORDER
+    (f 0, e 1, s 2).  Returned: the mate's parastrophe, and the slots of the
+    case's triple that become its beta and gamma.
+    """
+    tau = next(t for t in ParastropheSym if act_roles(t, sigma)[1][0] == role)
+    mate, (_, b, g) = act_roles(tau, sigma)
+    return mate, b, g
+
+
+_LEFT_MATE = {
+    (unit, sigma): _left_mate(role, sigma)
+    for role, unit in enumerate(UNIT_ORDER) for sigma in ParastropheSym
+}
 
 Probe = tuple[int, int, int]
 
 
 def case_probe(case: CaseId, conv: Convention) -> Probe:
-    """Compile a case to its single membership probe: A's probe of (pi_C(s), unit)."""
-    spec, unit = conv.relabel(case.spec), case.unit
+    """Compile a case to its single membership probe: A's probe of (pi_C(s), unit).
+
+    The case is compiled as the left-unit case of its orbit-mate (_LEFT_MATE).
+    """
+    spec = conv.relabel(case.spec)
+    sigma, b, g = _LEFT_MATE[case.unit, spec.sigma]
     triple = spec.triple
-    # A applies alpha and beta to the arguments and gamma inversely to the product
-    ea, eb = _KIND_INDEX[triple.alpha], _KIND_INDEX[triple.beta]
-    eg = _INV[_KIND_INDEX[triple.gamma]]
-    if unit is UnitKind.LEFT:
-        fam, inv = _ROW_FAMILY[spec.sigma]
-        # h = g^-1 . q^-1 must be a row of B; test h or h^-1 = q . g
-        return (eb, eg, fam) if inv else (_INV[eg], _INV[eb], fam)
-    if unit is UnitKind.RIGHT:
-        fam, inv = _COL_FAMILY[spec.sigma]
-        return (ea, eg, fam) if inv else (_INV[eg], _INV[ea], fam)
-    fam, inv = _MID_FAMILY[spec.sigma]
-    # h = q . p^-1 must be a middle translation of B
-    return (ea, _INV[eb], fam) if inv else (eb, _INV[ea], fam)
+    kinds = (triple.alpha, triple.beta, triple.gamma)
+    # the mate's beta and gamma; A applies gamma inversely to the product
+    eb, eg = _KIND_INDEX[kinds[b]], _INV[_KIND_INDEX[kinds[g]]]
+    fam, inv = _ROW_FAMILY[sigma]
+    # h = g^-1 . q^-1 must be a row of B; test h or h^-1 = q . g
+    return (eb, eg, fam) if inv else (_INV[eg], _INV[eb], fam)
 
 
 # ---------------------------------------------------------------------------

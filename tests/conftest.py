@@ -32,6 +32,27 @@ def unit_equation_holds(table, unit: UnitKind, u: int, x: int) -> bool:
     return table[x][x] == u
 
 
+# The six division identities over all (x, y).  The first four hold by
+# construction of the division tables; the last two then follow.
+DIVISION_IDENTITIES = {
+    "x*(x\\y) = y": lambda q, x, y: q.mul(x, q.ldiv(x, y)) == y,
+    "(y/x)*x = y": lambda q, x, y: q.mul(q.rdiv(y, x), x) == y,
+    "x\\(x*y) = y": lambda q, x, y: q.ldiv(x, q.mul(x, y)) == y,
+    "(y*x)/x = y": lambda q, x, y: q.rdiv(q.mul(y, x), x) == y,
+    "x/(y\\x) = y": lambda q, x, y: q.rdiv(x, q.ldiv(y, x)) == y,
+    "(x/y)\\x = y": lambda q, x, y: q.ldiv(q.rdiv(x, y), x) == y,
+}
+
+
+def failing_division_identities(q: Quasigroup) -> list[str]:
+    """The names of the division identities that fail at some (x, y) of q."""
+    rng = range(q.n)
+    return [
+        name for name, holds in DIVISION_IDENTITIES.items()
+        if not all(holds(q, x, y) for x in rng for y in rng)
+    ]
+
+
 @pytest.fixture
 def z3() -> Quasigroup:
     return from_table(Z3_ROWS)

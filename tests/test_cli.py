@@ -372,6 +372,32 @@ def test_diff_paper_rejects_a_printed_certificate_that_does_not_refute(
     )
 
 
+@pytest.mark.parametrize("skip_scan", [True, False], ids=["skip scan", "scan"])
+def test_diff_paper_rejects_an_unprinted_certificate_that_does_not_refute(
+    tmp_path, capsys, skip_scan
+):
+    # e:L,L,E/e is a minus that agrees with the reference, so its certificate
+    # is not printed; filed with e:L,L,E/f's certificate it still must refute
+    path = tmp_path / "survey.json"
+    assert run(["survey", "--corpus", "exhaustive:4", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    entries = {(e["spec"], e["unit"]): e for e in doc["cases"]}
+    forged = entries["e:L,L,E", "e"]
+    assert forged["status"] == "counterexample"
+    forged["certificate"] = dict(entries["e:L,L,E", "f"]["certificate"], unit="e")
+    path.write_text(json.dumps(doc))
+    argv = ["diff-paper", str(path), "--out", str(tmp_path / "r.md")]
+    if skip_scan:
+        argv.append("--skip-convention-scan")
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: certificate for e:L,L,E/e under "
+        "args=direct;result=inverse;trans=base does not refute\n"
+    )
+    assert not (tmp_path / "r.md").exists()
+
+
 def test_verify_lemma_fails_when_the_middle_derivative_is_wrong(monkeypatch, capsys):
     # the right derivative's left unit is a\a, not the middle derivative's a/a;
     # the two differ on some exhaustive:4 square, so the check must fail

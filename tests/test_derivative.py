@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import DERIVED_1, DERIVED_2, THEOREM_CLAIMS, small_corpus
+from conftest import DERIVED_1, DERIVED_2, THEOREM_CLAIMS, failing_division_identities, small_corpus
 from qderiv.cli import THEOREM_CASES, run
 from qderiv.corpus import enumerate_all, random_square
 from qderiv.derivative import (
@@ -21,7 +21,7 @@ from qderiv.derivative import (
     right_derivative,
 )
 from qderiv.parastrophe import ParastropheSym, apply_parastrophe
-from qderiv.qcore import TranslationKind, check_identities, from_table, translation_images
+from qderiv.qcore import TranslationKind, from_table, translation_images
 from qderiv.survey import CaseId
 from qderiv.units import find_unit, left_unit, right_unit
 
@@ -107,7 +107,7 @@ def test_derivatives_always_latin():
     q = random_square(4, 7)
     for s in enumerate_specs()[::29]:
         for conv in all_conventions():
-            assert check_identities(apply_derivative(q, 1, s, conv)).all_hold
+            assert failing_division_identities(apply_derivative(q, 1, s, conv)) == []
 
 
 def test_conv_a_matches_direct_formula_when_gamma_is_identity():

@@ -2,12 +2,12 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import Z3_ROWS, small_corpus
+from conftest import DIVISION_IDENTITIES, Z3_ROWS, failing_division_identities, small_corpus
 from qderiv.qcore import (
     BadEntryError,
     NotLatinError,
     TranslationKind,
-    check_identities,
+    Quasigroup,
     from_table,
     invert_images,
     translation_images,
@@ -100,20 +100,20 @@ def test_middle_translation_defining_equation():
             assert pi == tuple(q.rdiv(a, y) for y in range(q.n))
 
 
-def test_check_identities_on_examples(z3, q2):
-    assert check_identities(z3).all_hold
-    assert check_identities(q2).all_hold
+def test_division_identities_on_examples(z3, q2):
+    assert len(DIVISION_IDENTITIES) == 6
+    assert failing_division_identities(z3) == []
+    assert failing_division_identities(q2) == []
+    # x\y read off the multiplication table breaks the four that use it
+    broken = Quasigroup(3, z3.mul_table, z3.mul_table, z3.rdiv_table)
+    assert failing_division_identities(broken) == [
+        "x*(x\\y) = y", "x\\(x*y) = y", "x/(y\\x) = y", "(x/y)\\x = y"
+    ]
 
 
-def test_check_identities_reports_six_named_checks(z3):
-    report = check_identities(z3)
-    assert len(report.checks) == 6
-    assert all(c.failure is None for c in report.checks)
-
-
-def test_check_identities_exhaustive_small_orders():
+def test_division_identities_exhaustive_small_orders():
     for q in small_corpus(4):
-        assert check_identities(q).all_hold
+        assert failing_division_identities(q) == []
 
 
 def test_permutation_compose_and_inverse():

@@ -54,10 +54,16 @@ MUTANTS = [
         "if self.result_action == CONVENTION_A.result_action:",
     ),
     (
-        "case_probe: middle-unit probe reads p and q swapped",
+        "case_probe: left-unit probe reads the mate's beta and gamma slots swapped",
         "survey.py",
-        "return (ea, _INV[eb], fam) if inv else (eb, _INV[ea], fam)",
-        "return (eb, _INV[ea], fam) if inv else (ea, _INV[eb], fam)",
+        "sigma, b, g = _LEFT_MATE[case.unit, spec.sigma]",
+        "sigma, g, b = _LEFT_MATE[case.unit, spec.sigma]",
+    ),
+    (
+        "act_roles: triple slots permuted by pi_tau instead of its inverse",
+        "parastrophe.py",
+        "return moved, tuple(pt.index(i) for i in range(3))",
+        "return moved, tuple(pt)",
     ),
     (
         "tautology_proof: (generator, E) is not proved, only (E, generator)",
