@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 usage or validation error, 2 counterexample found
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from typing import Sequence
@@ -33,12 +32,11 @@ from .survey import (
     PLUS,
     UNIT_ORDER,
     MalformedCertificateError,
-    _agreement_counts,
-    _convention_signs,
+    SurveyResult,
     all_cases,
     case_probe,
     case_proof,
-    compute_table,
+    convention_agreements,
     diff_against_paper,
     embedded_paper_table,
     minimal_counterexample,
@@ -163,45 +161,49 @@ def cmd_certify(args) -> int:
 def cmd_diff_paper(args) -> int:
     survey = reportio.survey_from_json(_read_text(args.survey))
     paper = embedded_paper_table()
-    cases = all_cases()
-    computed = compute_table(survey)
-    probes = [case_probe(case, survey.convention) for case in cases]
-    # checked before any scan: no minus is on a proved case, and every
-    # certificate, printed or not, refutes its case
-    proved = [c for c, p in zip(cases, probes) if tautology_proof(p) is not None]
-    _reject_signs(survey, [c for c in proved if computed[c] == MINUS])
-    for cert in (s for s in survey.statuses.values() if isinstance(s, Certificate)):
-        try:
-            refutes = verify_certificate(cert)
-        except MalformedCertificateError:
-            refutes = False
-        if not refutes:
-            raise reportio.ParseError(
-                f"certificate for {cert.case.token} under {cert.convention.token} does not refute"
-            )
-    report = diff_against_paper(survey, paper)
-    if args.skip_convention_scan:
-        # a plus must survive a scan of the corpus (a proved probe always does)
-        pluses = [(c, p) for c, p in zip(cases, probes) if computed[c] == PLUS]
-        kills = probe_scan(survey.corpus, [p for _, p in pluses])
-        _reject_signs(survey, [c for c, p in pluses if kills[p] is not None])
-    else:
-        signs = _convention_signs(survey.corpus)
-        rescanned = zip(cases, signs[survey.convention])
-        _reject_signs(survey, [c for c, sign in rescanned if computed[c] != sign])
-        agreements = _agreement_counts(signs, paper, cases)
-        report = dataclasses.replace(report, convention_agreements=agreements)
+    signs = _checked_signs(survey)
+    agreements = None
+    if not args.skip_convention_scan:
+        agreements = convention_agreements(signs, survey.convention, paper)
+    report = diff_against_paper(survey, paper, agreements)
     _write_text(args.out, reportio.diff_report_markdown(report))
     return EXIT_OK
 
 
-def _reject_signs(survey, wrong: list[CaseId]) -> None:
-    """ParseError naming the first case whose survey sign a re-scan contradicts, if any."""
-    if wrong:
-        raise reportio.ParseError(
-            f"survey sign for {wrong[0].token} under {survey.convention.token} "
-            f"differs from a re-scan of {survey.corpus.token}"
-        )
+def _checked_signs(survey: SurveyResult) -> list[str]:
+    """The document's signs in all_cases order, each tied to its kill.
+
+    Three checks, each failing on its first case in all_cases order: no minus
+    is on a proved probe; every certificate refutes; and one scan of the
+    corpus kills each probe at its certificate's (rows, a), or not at all.
+    """
+    cases, conv, corpus = all_cases(), survey.convention, survey.corpus
+    certs = [s if isinstance(s, Certificate) else None for s in map(survey.statuses.get, cases)]
+    probes = [case_probe(case, conv) for case in cases]
+
+    def error(what: str, case: CaseId, verdict: str) -> reportio.ParseError:
+        return reportio.ParseError(f"{what} for {case.token} under {conv.token} {verdict}")
+
+    rescan = f"differs from a re-scan of {corpus.token}"
+    for case, cert, probe in zip(cases, certs, probes):
+        if cert is not None and tautology_proof(probe) is not None:
+            raise error("survey sign", case, rescan)
+    squares: dict = {}
+    for cert in filter(None, certs):
+        try:
+            refutes = verify_certificate(cert, squares)
+        except MalformedCertificateError:
+            refutes = False
+        if not refutes:
+            raise error("certificate", cert.case, "does not refute")
+    kills = probe_scan(corpus, probes)
+    for case, cert, probe in zip(cases, certs, probes):
+        kill = kills[probe]
+        if (cert is None) != (kill is None):
+            raise error("survey sign", case, rescan)
+        if cert is not None and (cert.rows, cert.a) != (kill[3], kill[2]):
+            raise error("certificate", case, f"is not on its first counterexample in {corpus.token}")
+    return [PLUS if cert is None else MINUS for cert in certs]
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--skip-convention-scan",
         action="store_true",
-        help="omit the per-convention agreement counts; check each + by its probe instead",
+        help="omit the per-convention agreement counts",
     )
     p.set_defaults(func=cmd_diff_paper)
 

@@ -350,14 +350,27 @@ def build_certificate(
     )
 
 
-def verify_certificate(cert: Certificate) -> bool:
+def _square(built: dict, key, rows: Rows, sigma: ParastropheSym) -> tuple[Quasigroup, ...]:
+    """The quasigroup of rows and its sigma-parastrophe, each built once per key in built."""
+    q = built.get((key, ParastropheSym.ID))
+    if q is None:
+        q = built[key, ParastropheSym.ID] = from_table(rows)
+    b = built.get((key, sigma))
+    if b is None:
+        b = built[key, sigma] = apply_parastrophe(q, sigma)
+    return q, b
+
+
+def verify_certificate(cert: Certificate, squares: dict | None = None) -> bool:
     """True iff the certificate genuinely refutes unit existence.
 
     Structural defects (bad shapes, candidates not covering 0..n-1) raise
     MalformedCertificateError naming the first failing field; a certificate
     whose table is not Latin or whose witnesses do not all refute returns
     False.  The derivative is evaluated only at the n cells the witnesses
-    name, through the formula that builds full derived tables.
+    name, through the formula that builds full derived tables.  ``squares``,
+    a dict kept across calls, builds each distinct square's quasigroup and
+    parastrophes once (_square); without it every call builds its own.
     """
     rows = cert.rows
     n = len(rows)
@@ -371,12 +384,12 @@ def verify_certificate(cert: Certificate) -> bool:
         raise MalformedCertificateError("refutation", "candidates must cover 0..n-1")
     if any(not 0 <= x < n for _, x in cert.refutation):
         raise MalformedCertificateError("refutation", "witness out of range")
+    spec, unit = cert.case.spec, cert.case.unit
+    built, key = ({}, None) if squares is None else (squares, rows)  # None spares hashing rows
     try:
-        q = from_table(rows)
+        q, b = _square(built, key, rows, spec.sigma)
     except QuasigroupError:
         return False
-    spec, unit = cert.case.spec, cert.case.unit
-    b = q if spec.sigma is ParastropheSym.ID else apply_parastrophe(q, spec.sigma)
     maps = derivative_maps(q, b, cert.a, spec, cert.convention)
     if not _permutations(maps, n):
         return False
@@ -399,12 +412,12 @@ def _survey_kills(
     every candidate in the derivative of the kill square at its a
     (_refutation), so every A minus is checked here, once.  The base
     quasigroup of each kill square and each of its sigma-parastrophes are
-    built once per call; the derivative's maps must be permutations, which
-    with a Latin B is exactly a Latin derivative.
+    built once per call (_square); the derivative's maps must be
+    permutations, which with a Latin B is exactly a Latin derivative.
     """
     probes = [case_probe(case, CONVENTION_A) for case in cases]
     kills = probe_scan(desc, set(probes))
-    bases: dict[tuple[int, int, ParastropheSym], Quasigroup] = {}
+    built: dict = {}
     for case, probe in zip(cases, probes):
         kill = kills[probe]
         if kill is None:
@@ -412,12 +425,7 @@ def _survey_kills(
             continue
         order, idx, a, rows = kill
         spec = case.spec
-        q = bases.get((order, idx, ParastropheSym.ID))
-        if q is None:
-            q = bases[order, idx, ParastropheSym.ID] = from_table(rows)
-        b = bases.get((order, idx, spec.sigma))
-        if b is None:
-            b = bases[order, idx, spec.sigma] = apply_parastrophe(q, spec.sigma)
+        q, b = _square(built, (order, idx), rows, spec.sigma)
         maps = derivative_maps(q, b, a, spec, CONVENTION_A)
         if not _permutations(maps, order):
             raise SurveyError(f"derived table of {spec.token} at a={a} is not Latin")
@@ -498,10 +506,6 @@ PLUS, MINUS, UNKNOWN = "+", "-", "?"
 SignTable = Mapping[CaseId, str]  # a +/-/? sign for every (spec, unit) cell
 
 
-def _sign(status: Certificate | NoCounterexample) -> str:
-    return MINUS if isinstance(status, Certificate) else PLUS
-
-
 def compute_table(survey: SurveyResult) -> dict[CaseId, str]:
     """Minus where a counterexample was found, plus otherwise.
 
@@ -510,7 +514,7 @@ def compute_table(survey: SurveyResult) -> dict[CaseId, str]:
     Every refutable probe fails in exhaustive:4, so on exhaustive:N for
     N >= 4 every plus is proved.
     """
-    return {case: _sign(status) for case, status in survey.statuses.items()}
+    return {c: MINUS if isinstance(s, Certificate) else PLUS for c, s in survey.statuses.items()}
 
 
 @functools.cache
@@ -594,33 +598,27 @@ def convention_agreement_table(
     """Agreement counts against the reference table for all eight conventions.
 
     No convention is singled out; the counts are evidence for the reader.
-    The signs come from _convention_signs.  ``jobs`` is accepted for
-    existing callers and ignored: the scan is sequential.
+    The signs of the A cases, each minus refuted (_survey_kills), are read
+    through pi (convention_agreements).  ``jobs`` is accepted for existing
+    callers and ignored: the scan is sequential.
     """
     cases = all_cases()
     if len(paper) != len(cases):
         raise SurveyError(f"shape mismatch: {len(cases)} vs {len(paper)} cells")
-    return _agreement_counts(_convention_signs(desc), paper, cases)
-
-
-def _convention_signs(desc: CorpusDescriptor) -> dict[Convention, list[str]]:
-    """The sign of every case under each of the eight conventions, in all_cases order.
-
-    The 1944 A cases are refuted once and each convention's list is A's read
-    through pi_C (_relabeled_cells).  Only signs are kept, so no certificate
-    is built; every A minus is still refuted cell by cell in _survey_kills,
-    so an unsound probe raises SurveyError here too.
-    """
-    cases = all_cases()
     signs = [PLUS if kill is None else MINUS for kill, _ in _survey_kills(desc, cases)]
-    return {conv: [signs[i] for i in _relabeled_cells(conv)] for conv in all_conventions()}
+    return convention_agreements(signs, CONVENTION_A, paper)
 
 
-def _agreement_counts(
-    signs: dict[Convention, list[str]], paper: SignTable, cases: Sequence[CaseId]
+def convention_agreements(
+    signs: Sequence[str], conv: Convention, paper: SignTable
 ) -> dict[str, tuple[int, int, int]]:
-    """Agreement counts of each convention's signs (_convention_signs) with the reference."""
-    reference = [paper[case] for case in cases]
+    """Agreement counts of all eight conventions, read off conv's signs in all_cases order.
+
+    (s, unit) has under C the sign (pi_C(s), unit) has under A (_relabeled_cells).
+    """
+    a_signs = dict(zip(_relabeled_cells(conv), signs))
+    reference = [paper[case] for case in all_cases()]
     return {
-        conv.token: _tally(map(_agreement, s, reference)) for conv, s in signs.items()
+        c.token: _tally(map(_agreement, [a_signs[i] for i in _relabeled_cells(c)], reference))
+        for c in all_conventions()
     }

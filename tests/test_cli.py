@@ -5,14 +5,22 @@ import json
 
 import pytest
 
-from conftest import THEOREM_CLAIMS, Z3_ROWS
+from conftest import THEOREM_CLAIMS, Z3_ROWS, unit_equation_holds
 from qderiv import cli
 from qderiv import survey as survey_mod
 from qderiv.cli import run
 from qderiv.corpus import CorpusDescriptor, iter_corpus
-from qderiv.derivative import all_conventions, apply_derivative
-from qderiv.reportio import parse_cayley, survey_from_json
-from qderiv.units import find_unit
+from qderiv.derivative import CONVENTION_A, all_conventions, apply_derivative
+from qderiv.qcore import from_table
+from qderiv.reportio import (
+    certificate_from_doc,
+    diff_report_markdown,
+    parse_cayley,
+    parse_spec,
+    survey_from_json,
+    survey_to_json,
+)
+from qderiv.units import UnitKind, find_unit
 
 Z3_TEXT = "3\n0 1 2\n1 2 0\n2 0 1\n"
 
@@ -327,7 +335,7 @@ def test_repeated_convention_field_is_an_error(capsys):
 
 
 def _scan_must_not_run(*args, **kwargs):
-    raise AssertionError("the convention scan ran before the certificates were checked")
+    raise AssertionError("the scan ran before the certificates were checked")
 
 
 @pytest.mark.parametrize(
@@ -342,8 +350,8 @@ def test_diff_paper_rejects_a_printed_certificate_that_does_not_refute(
     tmp_path, capsys, monkeypatch, how, skip_scan
 ):
     # exhaustive:4 is the smallest corpus whose report prints certificates;
-    # the first one printed is e:L,L,E/f's, of order 4.  Without
-    # --skip-convention-scan the certificates are checked before the scan.
+    # the first one printed is e:L,L,E/f's, of order 4.  In both modes the
+    # certificates are checked before the one scan.
     path = tmp_path / "survey.json"
     assert run(["survey", "--corpus", "exhaustive:4", "--out", str(path)]) == 0
     doc = json.loads(path.read_text())
@@ -360,8 +368,7 @@ def test_diff_paper_rejects_a_printed_certificate_that_does_not_refute(
     argv = ["diff-paper", str(path)]
     if skip_scan:
         argv.append("--skip-convention-scan")
-    else:
-        monkeypatch.setattr(cli, "_convention_signs", _scan_must_not_run)
+    monkeypatch.setattr(cli, "probe_scan", _scan_must_not_run)
     capsys.readouterr()
     assert run(argv) == 1
     captured = capsys.readouterr()
@@ -433,11 +440,6 @@ def test_diff_paper_rejects_a_forged_plus(tmp_path, capsys):
     assert not (tmp_path / "r.md").exists()
 
 
-def _pull_nothing(desc):
-    raise AssertionError(f"a square of {desc.token} was pulled")
-    yield
-
-
 @pytest.mark.parametrize("skip_scan", [True, False], ids=["skip scan", "scan"])
 def test_diff_paper_names_the_first_of_fifty_forged_pluses(tmp_path, capsys, skip_scan):
     # 50 counterexamples, spread over the document, rewritten as plus; with
@@ -490,14 +492,135 @@ def test_diff_paper_rejects_a_forged_minus_on_a_proved_case(tmp_path, capsys, sk
     assert not (tmp_path / "r.md").exists()
 
 
-def test_diff_paper_skip_scan_pulls_no_square_for_an_honest_survey(tmp_path, monkeypatch):
-    # every plus of an honest exhaustive:4 survey is on a tautological probe
+@pytest.mark.parametrize("skip_scan", [True, False], ids=["skip scan", "scan"])
+def test_diff_paper_runs_one_scan_in_each_mode(tmp_path, monkeypatch, skip_scan):
+    # both modes tie every sign to its kill by one scan of the document's
+    # corpus; the eight-convention table is read off the checked signs
     path, report = tmp_path / "survey.json", tmp_path / "r.md"
     conv = "args=inverse;result=direct;trans=base"
     assert run(["survey", "--corpus", "exhaustive:4", "--convention", conv, "--out", str(path)]) == 0
-    monkeypatch.setattr(survey_mod, "iter_corpus_rows", _pull_nothing)
-    assert run(["diff-paper", str(path), "--skip-convention-scan", "--out", str(report)]) == 0
+    scans = []
+    real = survey_mod.probe_scan
+
+    def counted(desc, probes):
+        scans.append(desc.token)
+        return real(desc, probes)
+
+    monkeypatch.setattr(cli, "probe_scan", counted)
+    monkeypatch.setattr(survey_mod, "probe_scan", counted)
+    argv = ["diff-paper", str(path), "--out", str(report)]
+    if skip_scan:
+        argv.append("--skip-convention-scan")
+    assert run(argv) == 0
+    assert scans == ["exhaustive:4"]
     assert "- agreement: 1943/1944 agree, 0 disagree, 1 reference-unknown" in report.read_text()
+
+
+def _forge_e_lle_f(path, cert: dict) -> None:
+    """File cert as e:L,L,E/f's certificate in the survey at path."""
+    doc = json.loads(path.read_text())
+    entry = next(e for e in doc["cases"] if (e["spec"], e["unit"]) == ("e:L,L,E", "f"))
+    assert entry["status"] == "counterexample" and entry["certificate"] != cert
+    assert survey_mod.verify_certificate(certificate_from_doc(cert))
+    entry["certificate"] = cert
+    path.write_text(json.dumps(doc))
+
+
+def _e_lle_f_certificate(tmp_path, corpus: str) -> dict:
+    """e:L,L,E/f's certificate in a survey of corpus under A."""
+    path = tmp_path / "other.json"
+    assert run(["survey", "--corpus", corpus, "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    return next(
+        e["certificate"] for e in doc["cases"] if (e["spec"], e["unit"]) == ("e:L,L,E", "f")
+    )
+
+
+def _certificate_at(cert: dict, a: int) -> dict:
+    """cert moved to element a of its square, each candidate with its first failing x under A."""
+    rows, unit = cert["table"], UnitKind(cert["unit"])
+    derived = apply_derivative(from_table(rows), a, parse_spec(cert["spec"]), CONVENTION_A)
+    n = len(rows)
+    refutation = [
+        [u, next(x for x in range(n) if not unit_equation_holds(derived.mul_table, unit, u, x))]
+        for u in range(n)
+    ]
+    return dict(cert, a=a, refutation=refutation)
+
+
+_OFF_KILL = (
+    "error: certificate for e:L,L,E/f under args=direct;result=inverse;trans=base "
+    "is not on its first counterexample in exhaustive:4\n"
+)
+
+
+@pytest.mark.parametrize("skip_scan", [True, False], ids=["skip scan", "scan"])
+def test_diff_paper_rejects_a_certificate_from_outside_the_corpus(tmp_path, capsys, skip_scan):
+    # e:L,L,E/f's order-5 certificate refutes, but no square of exhaustive:4
+    # is its square
+    path = tmp_path / "survey.json"
+    assert run(["survey", "--corpus", "exhaustive:4", "--out", str(path)]) == 0
+    cert = _e_lle_f_certificate(tmp_path, "random:5:seed=1:count=20")
+    assert len(cert["table"]) == 5
+    _forge_e_lle_f(path, cert)
+    argv = ["diff-paper", str(path), "--out", str(tmp_path / "r.md")]
+    if skip_scan:
+        argv.append("--skip-convention-scan")
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert capsys.readouterr().err == _OFF_KILL
+    assert not (tmp_path / "r.md").exists()
+
+
+@pytest.mark.parametrize("skip_scan", [True, False], ids=["skip scan", "scan"])
+@pytest.mark.parametrize("where", ["later square", "same square, later a"])
+def test_diff_paper_rejects_a_certificate_past_the_first_counterexample(
+    tmp_path, capsys, skip_scan, where
+):
+    # e:L,L,E/f is first killed on an order-4 square at a=1; it is refuted
+    # again at a=2 of that square and on a later square a random:4 survey
+    # finds first, and neither is the kill the document must file
+    path = tmp_path / "survey.json"
+    assert run(["survey", "--corpus", "exhaustive:4", "--out", str(path)]) == 0
+    if where == "later square":
+        cert = _e_lle_f_certificate(tmp_path, "random:4:seed=1:count=20")
+    else:
+        kill = _e_lle_f_certificate(tmp_path, "exhaustive:4")
+        assert kill["a"] == 1
+        cert = _certificate_at(kill, 2)
+    _forge_e_lle_f(path, cert)
+    argv = ["diff-paper", str(path), "--out", str(tmp_path / "r.md")]
+    if skip_scan:
+        argv.append("--skip-convention-scan")
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert capsys.readouterr().err == _OFF_KILL
+    assert not (tmp_path / "r.md").exists()
+
+
+def _convention_section(report: str) -> str:
+    """The report's agreement-by-convention section, up to the blocks."""
+    start = report.index("## Agreement by convention")
+    return report[start:report.index("## Blocks", start)]
+
+
+def test_diff_paper_reads_the_same_convention_table_off_every_convention(tmp_path):
+    # the table depends only on the corpus: a document under C reads it
+    # through pi_C back to A, so a read that skips pi_C's inverse differs
+    # from A's under the conventions whose pi_C moves a sign
+    paper = survey_mod.embedded_paper_table()
+    desc = CorpusDescriptor.parse("exhaustive:4")
+    results = survey_mod.run_survey_multi(desc, list(all_conventions()))
+    a_result = results[CONVENTION_A]
+    table = survey_mod.convention_agreement_table(desc, paper)
+    want = _convention_section(
+        diff_report_markdown(survey_mod.diff_against_paper(a_result, paper, table))
+    )
+    for conv, result in results.items():
+        path, report = tmp_path / "survey.json", tmp_path / "r.md"
+        path.write_text(survey_to_json(result))
+        assert run(["diff-paper", str(path), "--out", str(report)]) == 0
+        assert _convention_section(report.read_text()) == want, conv.token
 
 
 # sha256 of the diff-paper report of honest surveys, recorded before the
@@ -512,6 +635,17 @@ HONEST_REPORTS = {
 }
 
 
+# the same with --skip-convention-scan, recorded before both modes ran one check path
+HONEST_SKIP_SCAN_REPORTS = {
+    ("exhaustive:3", "A"): "2a051870595333b4637070bf250498df1099a234f2aab7473e7dc7bcec74fad1",
+    ("exhaustive:4", "A"): "9956dc57f74dc493458f1f7d2ffe530ebac72e9bd319ddd99380d4069c02ae22",
+    ("exhaustive:4", "args=inverse;result=direct;trans=para"):
+        "225c3490083df8bd71729c45ccc96e99eb70878abe3fb8144e9a827662d7f525",
+    ("random:7:seed=3:count=20", "A"):
+        "9c9c7428864f4056c3967c0e19b60901285f48723b73d492028678795584de68",
+}
+
+
 @pytest.mark.parametrize("corpus, convention", sorted(HONEST_REPORTS))
 def test_diff_paper_reports_of_honest_surveys_are_unchanged(tmp_path, corpus, convention):
     survey, report = tmp_path / "survey.json", tmp_path / "r.md"
@@ -520,6 +654,10 @@ def test_diff_paper_reports_of_honest_surveys_are_unchanged(tmp_path, corpus, co
     assert run(["diff-paper", str(survey), "--out", str(report)]) == 0
     digest = hashlib.sha256(report.read_bytes()).hexdigest()
     assert digest == HONEST_REPORTS[corpus, convention]
+    argv = ["diff-paper", str(survey), "--skip-convention-scan", "--out", str(report)]
+    assert run(argv) == 0
+    digest = hashlib.sha256(report.read_bytes()).hexdigest()
+    assert digest == HONEST_SKIP_SCAN_REPORTS[corpus, convention]
 
 
 def test_diff_paper_skip_scan_refuses_a_survey_over_no_refuting_square(tmp_path, capsys):

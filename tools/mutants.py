@@ -95,6 +95,18 @@ MUTANTS = [
         "return all(value != want for value, (_, want) in zip(products, cells))",
         "return any(value != want for value, (_, want) in zip(products, cells))",
     ),
+    (
+        "diff-paper: a certificate is tied to its kill by its square alone, not its a",
+        "cli.py",
+        "if cert is not None and (cert.rows, cert.a) != (kill[3], kill[2]):",
+        "if cert is not None and cert.rows != kill[3]:",
+    ),
+    (
+        "convention_agreements: the document's signs are read as A's, without pi_C inverted",
+        "survey.py",
+        "a_signs = dict(zip(_relabeled_cells(conv), signs))",
+        "a_signs = dict(zip(_relabeled_cells(CONVENTION_A), signs))",
+    ),
 ]
 
 
