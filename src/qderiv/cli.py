@@ -188,10 +188,9 @@ def _checked_signs(survey: SurveyResult) -> list[str]:
     for case, cert, probe in zip(cases, certs, probes):
         if cert is not None and tautology_proof(probe) is not None:
             raise error("survey sign", case, rescan)
-    squares: dict = {}
     for cert in filter(None, certs):
         try:
-            refutes = verify_certificate(cert, squares)
+            refutes = verify_certificate(cert)
         except MalformedCertificateError:
             refutes = False
         if not refutes:

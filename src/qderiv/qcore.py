@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 
@@ -114,7 +115,12 @@ class Quasigroup:
         return self.mul_table[a]
 
     def col(self, a: int) -> tuple[int, ...]:
-        return tuple(self.mul_table[x][a] for x in range(self.n))
+        return self.columns[0][a]
+
+    @cached_property
+    def columns(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The columns of the mul, rdiv and ldiv tables: R_a, Ri_a and P_a at every a."""
+        return tuple(tuple(zip(*t)) for t in (self.mul_table, self.rdiv_table, self.ldiv_table))
 
     def __repr__(self) -> str:
         return f"Quasigroup(n={self.n}, rows={list(map(list, self.mul_table))})"
@@ -130,19 +136,18 @@ def translation_images(q: Quasigroup, kind: TranslationKind, a: int) -> tuple[in
     Deliberately not derived from ``kind.roles``, so that checks of the
     role algebra against data (verify_translation_transfer) test something.
     """
-    n = q.n
     if kind is TranslationKind.E:
-        return tuple(range(n))
+        return tuple(range(q.n))
     if kind is TranslationKind.L:
         return q.mul_table[a]
     if kind is TranslationKind.LINV:
         return q.ldiv_table[a]
     if kind is TranslationKind.R:
-        return tuple(q.mul_table[x][a] for x in range(n))
+        return q.columns[0][a]
     if kind is TranslationKind.RINV:
-        return tuple(q.rdiv_table[x][a] for x in range(n))
+        return q.columns[1][a]
     if kind is TranslationKind.P:
-        return tuple(q.ldiv_table[x][a] for x in range(n))
+        return q.columns[2][a]
     if kind is TranslationKind.PINV:
         return q.rdiv_table[a]
     raise ValueError(f"unknown translation kind {kind!r}")

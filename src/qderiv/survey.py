@@ -114,8 +114,9 @@ class SurveyResult:
 UNIT_ORDER = (UnitKind.LEFT, UnitKind.RIGHT, UnitKind.MIDDLE)
 
 
+@functools.cache
 def all_cases() -> tuple[CaseId, ...]:
-    """The 1944 cases in canonical order: spec order x (f, e, s)."""
+    """The 1944 cases in canonical order: spec order x (f, e, s); built once."""
     return tuple(
         CaseId(spec, unit) for spec in enumerate_specs() for unit in UNIT_ORDER
     )
@@ -291,8 +292,11 @@ def probe_scan(desc: CorpusDescriptor, probes: Iterable[Probe]) -> dict[Probe, K
 # Certificates.
 
 
-def _unit_cell(unit: UnitKind, u: int, x: int) -> tuple[tuple[int, int], int]:
-    """The cell the unit equation of candidate u reads at x, and the value it needs there."""
+def _unit_cell(unit: UnitKind, u, x):
+    """The cell the unit equation of candidate u reads at x, and the value it needs there.
+
+    Given equal-length sequences u and x instead, the same elementwise.
+    """
     if unit is UnitKind.LEFT:
         return (u, x), x
     if unit is UnitKind.RIGHT:
@@ -319,17 +323,17 @@ def _permutations(maps: Maps, n: int) -> bool:
 def _refutation(b: Quasigroup, maps: Maps, case: CaseId, a: int) -> Refutation:
     """The first x at which each candidate's unit equation fails in the derivative.
 
-    The derivative is that of ``b`` with ``maps`` (derivative_maps), read one
-    cell at a time (_unit_cell) up to the first failure.  Raises SurveyError
-    if some candidate is actually a unit; that would mean the probe that
-    selected the kill square was unsound.
+    The derivative is that of ``b`` with ``maps`` (derivative_maps), its
+    product inlined from derivative_products and read at the cells of
+    _unit_cell up to the first failure.  Raises SurveyError if some
+    candidate is actually a unit: the probe that chose the square was unsound.
     """
-    n = b.n
+    (alpha, beta, gamma), bt, xs = maps, b.mul_table, range(b.n)
     refutation = []
-    for u in range(n):
-        for x in range(n):
-            cell, want = _unit_cell(case.unit, u, x)
-            if derivative_products(b, maps, (cell,))[0] != want:
+    for u in xs:
+        (left, right), want = _unit_cell(case.unit, (u,) * b.n, xs)
+        for x, l, r, w in zip(xs, left, right, want):
+            if gamma[bt[alpha[l]][beta[r]]] != w:
                 refutation.append((u, x))
                 break
         else:
@@ -361,16 +365,30 @@ def _square(built: dict, key, rows: Rows, sigma: ParastropheSym) -> tuple[Quasig
     return q, b
 
 
-def verify_certificate(cert: Certificate, squares: dict | None = None) -> bool:
+_PAIRS: dict = {}  # (rows, sigma, cell types) -> (base, sigma-parastrophe), the last 64 built
+
+
+def _cached_pair(rows: Rows, sigma: ParastropheSym) -> tuple[Quasigroup, ...]:
+    """The quasigroup of rows and its sigma-parastrophe, built once while _PAIRS holds them."""
+    # keyed by cell types too: True and 1.0 equal 1 and hash alike, but from_table rejects them
+    key = (rows, sigma, frozenset(map(type, itertools.chain.from_iterable(rows))))
+    pair = _PAIRS.get(key)
+    if pair is None:
+        pair = _PAIRS[key] = _square({}, None, rows, sigma)
+        if len(_PAIRS) > 64:
+            del _PAIRS[next(iter(_PAIRS))]
+    return pair
+
+
+def verify_certificate(cert: Certificate) -> bool:
     """True iff the certificate genuinely refutes unit existence.
 
     Structural defects (bad shapes, candidates not covering 0..n-1) raise
     MalformedCertificateError naming the first failing field; a certificate
     whose table is not Latin or whose witnesses do not all refute returns
     False.  The derivative is evaluated only at the n cells the witnesses
-    name, through the formula that builds full derived tables.  ``squares``,
-    a dict kept across calls, builds each distinct square's quasigroup and
-    parastrophes once (_square); without it every call builds its own.
+    name, through the formula that builds full derived tables.  The square
+    and its parastrophe come from a bounded process-wide cache (_cached_pair).
     """
     rows = cert.rows
     n = len(rows)
@@ -385,9 +403,8 @@ def verify_certificate(cert: Certificate, squares: dict | None = None) -> bool:
     if any(not 0 <= x < n for _, x in cert.refutation):
         raise MalformedCertificateError("refutation", "witness out of range")
     spec, unit = cert.case.spec, cert.case.unit
-    built, key = ({}, None) if squares is None else (squares, rows)  # None spares hashing rows
     try:
-        q, b = _square(built, key, rows, spec.sigma)
+        q, b = _cached_pair(rows, spec.sigma)
     except QuasigroupError:
         return False
     maps = derivative_maps(q, b, cert.a, spec, cert.convention)
@@ -432,12 +449,11 @@ def _survey_kills(
         yield kill, _refutation(b, maps, case, a)
 
 
-def _relabeled_cells(conv: Convention) -> list[int]:
+@functools.cache
+def _relabeled_cells(conv: Convention) -> tuple[int, ...]:
     """pi_C by position: the all_cases index of (conv.relabel(s), unit) for each case (s, unit)."""
-    specs = enumerate_specs()
-    position = {spec: i for i, spec in enumerate(specs)}
-    relabeled = [position[conv.relabel(spec)] for spec in specs]
-    return [3 * i + k for i in relabeled for k in range(3)]
+    position = {spec: i for i, spec in enumerate(enumerate_specs())}
+    return tuple(3 * position[conv.relabel(s)] + k for s in enumerate_specs() for k in range(3))
 
 
 def run_survey_multi(

@@ -42,6 +42,17 @@ SURVEY_DIGESTS = {
         "0afaa356532922fc6e3d0c4d96f68b34721dc954dfcf04797d6aaf6d8a06bda0",
         "fe39a2d449ba89d2344042e5a3500f6020d4f939bb8a4ac0cf635cca6a237a72",
     ),
+    # the headline survey; the first is benchmarks/expected/survey_x5.json's
+    "exhaustive:5": (
+        "a87ecd79cda14c2b239d86ef408fde24873464075a39df96d160f56869b673e1",
+        "9678fdca665c1ea84b3b1b548a9eb35f296d4617a3f96c9402322f188c8166a6",
+        "d97e25379e0acd9f3e7408f7f6296f6aeb8852647f776dad9f05cfe4120d7367",
+        "1215585111a0f520bb028615f328aaa10f593ffc740a25459f928b3aa4316424",
+        "c8548c7a624a422934ea9482160fc21640de9f8a952416e35a69d9bef943f810",
+        "4c58b5b806556d07ee3ee6d334217c52eba8b1e425a17966d6b48b7bb0f43ebb",
+        "0c5e818c5c8d73944881d72c441624209b5df9236356b33bc7fbabb27b4516e6",
+        "87076c129fb0608bfc4aa60a3a472327e385f2cb27478e1361c9c73978df37a0",
+    ),
     "random:7:seed=3:count=20": (
         "43f049ec2f658575076d7d1bfc32fa80c1526082358326640a5e4210d96706cb",
         "bf3d5a4879fc25ace0bb038623dd6cb9a0cd97ff0380b0737d87e636343fac6d",

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -220,6 +221,61 @@ def test_certificate_with_non_latin_table_is_false():
     cert = run_survey(EX3, CONVENTION_A).statuses[case("23:L,Pi,E/f")]
     broken = dataclasses.replace(cert, rows=((0, 1, 2), (1, 2, 0), (2, 0, 2)))
     assert not verify_certificate(broken)
+
+
+def test_a_non_latin_table_is_false_on_every_repeat():
+    cert = run_survey(EX3, CONVENTION_A).statuses[case("23:L,Pi,E/f")]
+    broken = dataclasses.replace(cert, rows=((0, 1, 2), (1, 2, 0), (2, 0, 2)))
+    assert [verify_certificate(broken) for _ in range(3)] == [False] * 3
+
+
+@pytest.mark.parametrize("odd_first", [False, True], ids=["verified-first", "odd-first"])
+@pytest.mark.parametrize("value", [True, 1.0], ids=["bool", "float"])
+def test_a_table_cell_equal_to_an_int_but_not_one_is_false(value, odd_first):
+    # True and 1.0 equal 1 and hash alike, so a square built from the honest
+    # table must never stand in for this one, which from_table rejects
+    cert = run_survey(EX3, CONVENTION_A).statuses[case("23:L,Pi,E/f")]
+    rows = [list(r) for r in cert.rows]
+    rows[0][rows[0].index(1)] = value
+    odd = dataclasses.replace(cert, rows=tuple(map(tuple, rows)))
+    assert odd == cert
+    verdicts = [verify_certificate(c) for c in ((odd, cert) if odd_first else (cert, odd))]
+    assert verdicts == ([False, True] if odd_first else [True, False])
+
+
+def test_verifying_many_squares_keeps_few_alive(monkeypatch):
+    # the squares verify_certificate keeps between calls are bounded: once
+    # more distinct squares are verified than it holds, no more stay alive
+    from qderiv import parastrophe
+
+    built = []
+    for module in (survey, parastrophe):
+        real = module.from_table
+
+        def tracked(rows, real=real):
+            q = real(rows)
+            built.append(weakref.ref(q))
+            return q
+
+        monkeypatch.setattr(module, "from_table", tracked)
+    squares = [q.mul_table for q in enumerate_all(4)]
+    cases = all_cases()
+    assert len(squares) == 576
+
+    def verify(k: int) -> None:
+        # the case, and so the parastrophe, varies with k; the witnesses need not refute
+        refutation = tuple((u, 0) for u in range(4))
+        verify_certificate(Certificate(squares[k], 0, cases[k], CONVENTION_A, refutation))
+
+    def alive() -> int:
+        return sum(ref() is not None for ref in built)
+
+    for k in range(288):
+        verify(k)
+    first = alive()
+    for k in range(288, 576):
+        verify(k)
+    assert alive() <= first < 288
 
 
 def test_build_certificate_rejects_satisfiable_case():

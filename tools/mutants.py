@@ -90,6 +90,18 @@ MUTANTS = [
         "return (x, u), x",
     ),
     (
+        "_refutation: the product reads alpha and beta swapped",
+        "survey.py",
+        "if gamma[bt[alpha[l]][beta[r]]] != w:",
+        "if gamma[bt[beta[l]][alpha[r]]] != w:",
+    ),
+    (
+        "verify_certificate: the square cache ignores sigma",
+        "survey.py",
+        "key = (rows, sigma, frozenset(",
+        "key = (rows, frozenset(",
+    ),
+    (
         "verify_certificate: any witness suffices",
         "survey.py",
         "return all(value != want for value, (_, want) in zip(products, cells))",
