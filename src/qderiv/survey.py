@@ -224,7 +224,12 @@ def case_proof(case: CaseId, conv: Convention) -> str | None:
 # probe that fails is killed at that a and the rest go on to the next a.
 
 _PAD256 = bytes(range(256))
-_BATCH = 512  # squares pulled from the corpus at a time
+# Squares pulled at a time from an exhaustive or reduced stream, where the
+# next square is the next leaf of one search and comes cheap (512 order-4
+# squares in about 4 ms).  A random square is a fresh search of its own
+# (about 0.9 ms at order 16), so a random corpus is pulled one square at a
+# time and only as far as its last kill.
+_BATCH = 512
 
 
 def _scan_square(rows: Rows, probes: Sequence[Probe]) -> list[tuple[Probe, int]]:
@@ -267,16 +272,19 @@ def probe_scan(desc: CorpusDescriptor, probes: Iterable[Probe]) -> dict[Probe, K
     of order 3 or more, and an exhaustive order within the bound.  The
     tautological probes (tautology_proof) are then settled as None without
     a square being pulled, and the rest are scanned in (order, stream
-    index, a) order, _BATCH squares pulled at a time, until each has failed
-    or the corpus is exhausted.  A probe that dies is dropped from the later
-    squares, and no square is scanned and no batch pulled once none is left.
+    index, a) order until each has failed or the corpus is exhausted.  An
+    exhaustive or reduced stream is pulled _BATCH squares at a time; a
+    random one a square at a time, since each of its squares is a search of
+    its own.  A probe that dies is dropped from the later squares, and no
+    square is scanned and no batch pulled once none is left.
     """
     desc.check_refutable()
     stream = iter_corpus_rows(desc)
+    pull = 1 if desc.mode == "random" else _BATCH
     results: dict[Probe, Kill | None] = {p: None for p in probes}
     live = sorted(p for p in results if tautology_proof(p) is None)
     while live:
-        batch = list(itertools.islice(stream, _BATCH))
+        batch = list(itertools.islice(stream, pull))
         if not batch:
             break
         for order, idx, rows in batch:
@@ -344,9 +352,13 @@ def _refutation(b: Quasigroup, maps: Maps, case: CaseId, a: int) -> Refutation:
 def build_certificate(
     rows: Rows, a: int, case: CaseId, conv: Convention, refutation: Refutation
 ) -> Certificate:
-    """The certificate of a case from its kill square and the refutation found there."""
+    """The certificate of a case from its kill square and the refutation found there.
+
+    ``rows`` is kept, not copied: the certificates of one kill square share
+    the tuple the corpus stream gave it.
+    """
     return Certificate(
-        rows=tuple(tuple(r) for r in rows),
+        rows=rows,
         a=a,
         case=case,
         convention=conv,

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from conftest import THEOREM_CLAIMS, Z3_ROWS, unit_equation_holds
+from test_survey_io import repeated_entry_document
 from qderiv import cli
 from qderiv import survey as survey_mod
 from qderiv.cli import run
@@ -148,6 +149,18 @@ def test_diff_paper_malformed_survey_is_an_error(tmp_path, capsys):
     bad.write_text("[]")
     assert run(["diff-paper", str(bad)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("skip_scan", [False, True])
+def test_diff_paper_rejects_a_case_listed_twice(tmp_path, capsys, skip_scan):
+    text, token = repeated_entry_document()
+    path = tmp_path / "survey.json"
+    path.write_text(text)
+    argv = ["diff-paper", str(path)] + ["--skip-convention-scan"] * skip_scan
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: survey case {token}: repeated entry\n"
+    assert captured.out == ""
 
 
 def test_certify_bad_case_token(capsys):

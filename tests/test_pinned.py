@@ -53,6 +53,17 @@ SURVEY_DIGESTS = {
         "0c5e818c5c8d73944881d72c441624209b5df9236356b33bc7fbabb27b4516e6",
         "87076c129fb0608bfc4aa60a3a472327e385f2cb27478e1361c9c73978df37a0",
     ),
+    # the diff-r16 benchmark corpus: 1,728 certificates on its first square
+    "random:16:seed=1:count=300": (
+        "c5f573cb3457b582faf4bb24f24a53073c63c4dc9433748afe7d9f007e6db1f4",
+        "20ef13a3f570c56bd4384d058ffa94225260bfb7d085552baa247defdd23e1a3",
+        "38bafd321895eed31933c7c9845ae8e0d468c6800563bce3ed6b15af5e4a0c68",
+        "8baa970b36d5e63cf2438984edb788d32c78416458892c796e55c56da1efaee3",
+        "7d3990fe460b3f3a7a79faa85fac947cadc03533a11413e0ec33ef1cca1661b4",
+        "70b53813011d0a3f391167600947b75a7d44cf3ebc70331747d575d07acfefec",
+        "bb286863c20377f3002904490d9115f887851ab407f27e201f908eb2b3f449ef",
+        "3cf8dfdf3a558448e02d04630d5bf365a7f95e5e88ea49c0d50dd514c7323e0a",
+    ),
     "random:7:seed=3:count=20": (
         "43f049ec2f658575076d7d1bfc32fa80c1526082358326640a5e4210d96706cb",
         "bf3d5a4879fc25ace0bb038623dd6cb9a0cd97ff0380b0737d87e636343fac6d",

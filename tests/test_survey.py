@@ -408,7 +408,8 @@ def test_tautologies_are_settled_without_pulling_a_square(monkeypatch):
     assert len(pulled) == 1  # the stream is opened, for its bound check, but never pulled
 
 
-def test_scan_stops_pulling_once_every_probe_is_dead(monkeypatch):
+def _count_pulls(monkeypatch) -> list:
+    """The (order, index, rows) triples probe_scan pulls from here on."""
     real = survey.iter_corpus_rows
     pulled = []
 
@@ -418,10 +419,41 @@ def test_scan_stops_pulling_once_every_probe_is_dead(monkeypatch):
             yield item
 
     monkeypatch.setattr(survey, "iter_corpus_rows", rows)
+    return pulled
+
+
+def test_scan_stops_pulling_once_every_probe_is_dead(monkeypatch):
+    pulled = _count_pulls(monkeypatch)
     probe = case_probe(case("23:L,Pi,E/f"), CONVENTION_A)
     kills = probe_scan(CorpusDescriptor.parse("exhaustive:5"), [probe])
     assert kills[probe][:3] == (3, 0, 0)
     assert len(pulled) == survey._BATCH  # one batch, not the next
+
+
+@pytest.mark.parametrize(
+    "token, last_kill, pulls",
+    [
+        ("random:16:seed=1:count=300", 0, 1),  # the first square kills every refutable probe
+        ("random:4:seed=1:count=20", 1, 2),
+        ("random:3:seed=1:count=10", 2, 10),  # a refutable probe survives order 3
+    ],
+)
+def test_a_random_corpus_is_pulled_only_as_far_as_its_last_kill(
+    monkeypatch, token, last_kill, pulls
+):
+    pulled = _count_pulls(monkeypatch)
+    probes = [case_probe(c, CONVENTION_A) for c in all_cases()]
+    kills = probe_scan(CorpusDescriptor.parse(token), probes)
+    assert max(k[1] for k in kills.values() if k is not None) == last_kill
+    assert [i for _, i, _ in pulled] == list(range(pulls))
+
+
+@pytest.mark.parametrize("token, squares", [("exhaustive:5", 5), ("random:16:seed=1:count=300", 1)])
+def test_certificates_share_their_kill_square(token, squares):
+    result = run_survey(CorpusDescriptor.parse(token), CONVENTION_A)
+    certs = [s for s in result.statuses.values() if isinstance(s, Certificate)]
+    assert len(certs) == 1728
+    assert len({id(c.rows) for c in certs}) == squares
 
 
 def test_scan_skips_squares_after_the_last_kill(monkeypatch):

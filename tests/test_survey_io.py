@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+import re
 
 import pytest
 
@@ -110,6 +111,20 @@ def test_parsed_random_survey_shares_one_rows_object():
     assert len(certs) == 1728
     assert len({id(c.rows) for c in certs}) == 1
     assert type(certs[0].rows) is tuple and type(certs[0].rows[0]) is tuple
+
+
+def repeated_entry_document() -> tuple[str, str]:
+    """An exhaustive:3 survey with its first case listed again at the end, and that case."""
+    doc = json.loads(survey_to_json(run_survey(EX3)))
+    first = doc["cases"][0]
+    doc["cases"].append(first)  # 1945 entries, 1944 distinct cases
+    return json.dumps(doc), f"{first['spec']}/{first['unit']}"
+
+
+def test_a_case_listed_twice_is_rejected():
+    text, token = repeated_entry_document()
+    with pytest.raises(ParseError, match=f"^survey case {re.escape(token)}: repeated entry$"):
+        survey_from_json(text)
 
 
 @pytest.mark.parametrize("bad", [True, 1.0])

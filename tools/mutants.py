@@ -84,6 +84,18 @@ MUTANTS = [
         'if conv.arg_action == "direct":',
     ),
     (
+        "probe_scan: one pull, however many probes it leaves alive",
+        "survey.py",
+        "    while live:",
+        "    if live:",
+    ),
+    (
+        "survey_from_json: a case listed twice is not caught",
+        "reportio.py",
+        "if case in statuses:",
+        "if case in ():",
+    ),
+    (
         "_unit_cell: left unit read at the right unit's cell",
         "survey.py",
         "return (u, x), x",
