@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 
 from .corpus import CorpusDescriptor
 from .derivative import (
@@ -240,16 +241,18 @@ def _is_int_pairs(value: object) -> bool:
 class _DocReader:
     """The tokens and squares of one document, each parsed once.
 
-    Lives for one survey_from_json or certificate_from_doc call.  Every
-    table is still type-checked on its own (equal tables may differ in
-    JSON type, as 1, 1.0 and true do), and equal checked tables then share
-    one ``rows`` object.
+    Lives for one survey_from_json or certificate_from_doc call.  With a
+    ``pool`` (see _pool_tables), each table is a placeholder ``[[i]]`` and
+    its rows are ``pool[i]``.  Without one, every table is type-checked on
+    its own (equal tables may differ in JSON type, as 1, 1.0 and true do),
+    and equal checked tables then share one ``rows`` object.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, pool: list[tuple] | None = None) -> None:
         self._specs: dict[str, DerivativeSpec] = {}
         self._conventions: dict[str, Convention] = {}
         self._squares: dict[tuple, tuple] = {}
+        self._pool = pool
 
     def spec(self, token: object) -> DerivativeSpec:
         return _parse_once(parse_spec, self._specs, token)
@@ -259,7 +262,12 @@ class _DocReader:
 
     def certificate(self, doc: dict) -> Certificate:
         table = doc["table"]
-        if not _is_int_table(table):
+        if self._pool is not None:
+            rows = self._pool[table[0][0]]
+        elif _is_int_table(table):
+            rows = tuple(map(tuple, table))
+            rows = self._squares.setdefault(rows, rows)
+        else:
             raise ParseError("certificate: table must be a list of lists of integers")
         a = doc["a"]
         if not _is_int(a):
@@ -275,9 +283,8 @@ class _DocReader:
                         f"certificate: refutation pair {list(pair)!r} must be two integers"
                     )
         case = CaseId(self.spec(doc["spec"]), UnitKind(doc["unit"]))
-        rows = tuple(map(tuple, table))
         return Certificate(
-            rows=self._squares.setdefault(rows, rows),
+            rows=rows,
             a=a,
             case=case,
             convention=self.convention(doc["convention"]),
@@ -354,27 +361,78 @@ def survey_to_json(result: SurveyResult) -> str:
     return "".join(out)
 
 
+_TABLE_KEY = '"table":'
+_NUM = "(?:0|[1-9][0-9]{0,2})"
+_ROW = rf"\[{_NUM}(?:,{_NUM})*\]"
+_CANONICAL_TABLE = re.compile(rf"\[{_ROW}(?:,{_ROW})*\]")
+
+
+def _pool_tables(text: str) -> tuple[str, list[tuple] | None]:
+    """The text with each table written as ``[[i]]``, and the pool of distinct tables.
+
+    Applies when the text holds no backslash and every ``"table"`` in it
+    is followed by ``:`` and a canonical table: brackets, commas and
+    entries of at most 3 digits, with no space, sign or leading zero.
+    Then every quote opens or closes a string, so each ``"table":`` is a
+    key and its table one whole array.  ``[[i]]`` is an array of the same
+    depth, so the text decodes, or meets json's recursion limit, exactly
+    when the original does, to the same document with each table as its
+    placeholder.  Canonical text is the value's only spelling, so equal
+    tables share one entry.  Otherwise ``(text, None)``.
+    """
+    if "\\" in text:
+        return text, None
+    head, *rest = text.split(_TABLE_KEY)
+    if text.count('"table"') != len(rest):  # a spaced key, or "table" as a value
+        return text, None
+    pool: dict[str, int] = {}
+    out = [head]
+    for piece in rest:
+        end = piece.find("]]") + 2  # a canonical table's first "]]" is its end
+        table = piece[:end]
+        index = pool.get(table)
+        if index is None:
+            if not _CANONICAL_TABLE.fullmatch(table):
+                return text, None
+            index = pool[table] = len(pool)
+        out += (_TABLE_KEY, "[[", str(index), "]]", piece[end:])
+    return "".join(out), [tuple(map(tuple, json.loads(table))) for table in pool]
+
+
 def survey_from_json(text: str) -> SurveyResult:
     """Parse a survey document; any malformed document raises ParseError.
 
+    A canonical document (see _pool_tables) is decoded with each distinct
+    square parsed once.  Any other document, and a canonical one that
+    fails, is read table by table, so every error is the original text's.
     Each spec and convention token is parsed once, and every certificate
     that cites the same square shares one ``rows`` object.
     """
+    pooled, pool = _pool_tables(text)
+    if pool is not None:
+        try:
+            return _read_survey(pooled, pool)
+        except ParseError:
+            pass
+    return _read_survey(text, None)
+
+
+def _read_survey(text: str, pool: list[tuple] | None) -> SurveyResult:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"survey document: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"survey document: expected an object, got {type(doc).__name__}")
     try:
-        return _survey_from_doc(doc)
+        return _survey_from_doc(doc, pool)
     except KeyError as exc:
         raise ParseError(f"survey document: missing field {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:
         raise ParseError(f"survey document: malformed ({exc})") from None
 
 
-def _survey_from_doc(doc: dict) -> SurveyResult:
+def _survey_from_doc(doc: dict, pool: list[tuple] | None) -> SurveyResult:
     fmt = doc.get("format", "")
     prefix, sep, version = fmt.partition("/")
     if prefix != "qderiv-survey" or not sep:
@@ -384,7 +442,7 @@ def _survey_from_doc(doc: dict) -> SurveyResult:
         raise FormatVersionError(
             f"unsupported survey format major {major!r} (supported: {SURVEY_FORMAT_MAJOR})"
         )
-    reader = _DocReader()
+    reader = _DocReader(pool)
     convention = reader.convention(doc["convention"])
     corpus = CorpusDescriptor.parse(doc["corpus"])
     orders = list(corpus.orders())

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from qderiv.derivative import DerivativeSpec, IsotopyTriple
@@ -30,6 +32,11 @@ def unit_equation_holds(table, unit: UnitKind, u: int, x: int) -> bool:
     if unit is UnitKind.RIGHT:
         return table[x][u] == x
     return table[x][x] == u
+
+
+def spellings(doc) -> tuple[str, str]:
+    """A document as json.dumps writes it spaced (read table by table) and compact (pooled)."""
+    return json.dumps(doc), json.dumps(doc, separators=(",", ":"))
 
 
 # The six division identities over all (x, y).  The first four hold by

@@ -257,6 +257,16 @@ def test_usage_error_exit_code(capsys):
     assert run(["no-such-command"]) == 1
 
 
+def test_diff_paper_reports_a_survey_nested_past_the_recursion_limit(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert run(["diff-paper", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: survey document: ")
+
+
 @pytest.mark.parametrize("bad", ["0", True, 1.0])
 def test_diff_paper_rejects_a_certificate_a_that_is_not_an_integer(tmp_path, capsys, bad):
     path = tmp_path / "survey.json"

@@ -5,7 +5,7 @@ from importlib import resources
 
 import pytest
 
-from conftest import Z3_ROWS, small_corpus
+from conftest import Z3_ROWS, small_corpus, spellings
 from qderiv.corpus import CorpusDescriptor
 from qderiv.derivative import CONVENTION_A, all_conventions, enumerate_specs
 from qderiv.qcore import NotLatinError, from_table
@@ -151,8 +151,12 @@ def test_survey_json_malformed_documents_raise_parse_error():
         {**doc, "cases": doc["cases"] + [doc["cases"][0]]},
     ]
     for bad in malformed:
-        with pytest.raises(ParseError):
-            survey_from_json(json.dumps(bad))
+        errors = []
+        for text in spellings(bad):
+            with pytest.raises(ParseError) as error:
+                survey_from_json(text)
+            errors.append(str(error.value))
+        assert errors[0] == errors[1]
 
 
 def test_diff_report_markdown_contents():
@@ -175,8 +179,9 @@ def test_certificate_a_must_be_an_integer(bad):
     doc = json.loads(survey_to_json(run_survey(EX3, CONVENTION_A)))
     entry = next(e for e in doc["cases"] if e["status"] == "counterexample")
     entry["certificate"]["a"] = bad
-    with pytest.raises(ParseError, match="a must be an integer"):
-        survey_from_json(json.dumps(doc))
+    for text in spellings(doc):
+        with pytest.raises(ParseError, match="a must be an integer"):
+            survey_from_json(text)
 
 
 @pytest.mark.parametrize(
@@ -195,8 +200,9 @@ def test_certificate_refutation_pairs_must_be_two_integers(u, mangle):
     refutation = entry["certificate"]["refutation"]
     assert refutation[u][0] == u
     refutation[u] = mangle(refutation[u][1])
-    with pytest.raises(ParseError, match="must be two integers"):
-        survey_from_json(json.dumps(doc))
+    for text in spellings(doc):
+        with pytest.raises(ParseError, match="must be two integers"):
+            survey_from_json(text)
 
 
 @pytest.mark.parametrize(
@@ -207,8 +213,9 @@ def test_certificate_table_must_be_a_list_of_lists_of_integers(bad):
     doc = json.loads(survey_to_json(run_survey(EX3, CONVENTION_A)))
     entry = next(e for e in doc["cases"] if e["status"] == "counterexample")
     entry["certificate"]["table"] = bad
-    with pytest.raises(ParseError, match="table must be a list of lists of integers"):
-        survey_from_json(json.dumps(doc))
+    for text in spellings(doc):
+        with pytest.raises(ParseError, match="table must be a list of lists of integers"):
+            survey_from_json(text)
 
 
 @pytest.mark.parametrize(
@@ -232,8 +239,9 @@ def test_no_counterexample_fields_are_type_checked(field, bad):
     doc = json.loads(survey_to_json(run_survey(EX3, CONVENTION_A)))
     entry = next(e for e in doc["cases"] if e["status"] == "no_counterexample")
     entry[field] = bad
-    with pytest.raises(ParseError, match="max_order_checked must be an integer and corpus a string"):
-        survey_from_json(json.dumps(doc))
+    for text in spellings(doc):
+        with pytest.raises(ParseError, match="max_order_checked must be an integer and corpus a string"):
+            survey_from_json(text)
 
 
 def _misfile(doc: dict, how: str) -> None:
@@ -254,16 +262,19 @@ def _misfile(doc: dict, how: str) -> None:
 def test_certificate_must_be_filed_under_its_case_and_convention(how):
     doc = json.loads(survey_to_json(run_survey(EX3, CONVENTION_A)))
     _misfile(doc, how)
-    with pytest.raises(ParseError, match="certificate is for"):
-        survey_from_json(json.dumps(doc))
+    for text in spellings(doc):
+        with pytest.raises(ParseError, match="certificate is for"):
+            survey_from_json(text)
 
 
 @pytest.mark.parametrize("bad", [[7], [3, 4], [], [3.0], "3", None])
 def test_orders_scanned_must_be_the_corpus_orders(bad):
     doc = json.loads(survey_to_json(run_survey(EX3, CONVENTION_A)))
     doc["orders_scanned"] = bad
-    with pytest.raises(ParseError, match=r"orders_scanned must be \[3\] for exhaustive:3"):
-        survey_from_json(json.dumps(doc))
+    for text in spellings(doc):
+        with pytest.raises(ParseError, match=r"orders_scanned must be \[3\] for exhaustive:3"):
+            survey_from_json(text)
     del doc["orders_scanned"]
-    with pytest.raises(ParseError, match="missing field 'orders_scanned'"):
-        survey_from_json(json.dumps(doc))
+    for text in spellings(doc):
+        with pytest.raises(ParseError, match="missing field 'orders_scanned'"):
+            survey_from_json(text)

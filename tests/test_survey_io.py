@@ -18,7 +18,7 @@ import pytest
 from qderiv.corpus import CorpusDescriptor
 from qderiv.derivative import all_conventions, apply_derivative
 from qderiv.qcore import QuasigroupError, from_table
-from qderiv import survey
+from qderiv import reportio, survey
 from qderiv.reportio import (
     ParseError,
     certificate_to_doc,
@@ -32,8 +32,8 @@ from qderiv.survey import (
     run_survey_multi,
     verify_certificate,
 )
-from conftest import unit_equation_holds
-from test_fuzz import JSON_VALUES, _edit, _paths
+from conftest import spellings, unit_equation_holds
+from test_fuzz import JSON_VALUES, _edit, _fuzz, _paths
 from test_pinned import SURVEY_DIGESTS
 
 EX3 = CorpusDescriptor.parse("exhaustive:3")
@@ -113,18 +113,19 @@ def test_parsed_random_survey_shares_one_rows_object():
     assert type(certs[0].rows) is tuple and type(certs[0].rows[0]) is tuple
 
 
-def repeated_entry_document() -> tuple[str, str]:
+def repeated_entry_document(dump=json.dumps) -> tuple[str, str]:
     """An exhaustive:3 survey with its first case listed again at the end, and that case."""
     doc = json.loads(survey_to_json(run_survey(EX3)))
     first = doc["cases"][0]
     doc["cases"].append(first)  # 1945 entries, 1944 distinct cases
-    return json.dumps(doc), f"{first['spec']}/{first['unit']}"
+    return dump(doc), f"{first['spec']}/{first['unit']}"
 
 
 def test_a_case_listed_twice_is_rejected():
-    text, token = repeated_entry_document()
-    with pytest.raises(ParseError, match=f"^survey case {re.escape(token)}: repeated entry$"):
-        survey_from_json(text)
+    for index in range(2):
+        text, token = repeated_entry_document(lambda doc: spellings(doc)[index])
+        with pytest.raises(ParseError, match=f"^survey case {re.escape(token)}: repeated entry$"):
+            survey_from_json(text)
 
 
 @pytest.mark.parametrize("bad", [True, 1.0])
@@ -139,8 +140,9 @@ def test_an_equal_square_of_another_json_type_is_still_rejected(bad, which):
     target = (first, second)[which]
     row = target["table"][0]
     row[row.index(1)] = bad
-    with pytest.raises(ParseError, match="table must be a list of lists of integers"):
-        survey_from_json(json.dumps(doc))
+    for text in spellings(doc):
+        with pytest.raises(ParseError, match="table must be a list of lists of integers"):
+            survey_from_json(text)
 
 
 def full_table_verdict(cert: Certificate) -> bool:
@@ -197,3 +199,145 @@ def test_a_derivative_whose_maps_are_not_permutations_does_not_verify(monkeypatc
     assert verify_certificate(cert)
     monkeypatch.setattr(survey, "derivative_maps", collapsed)
     assert not verify_certificate(cert)
+
+
+# ---------------------------------------------------------------------------
+# The reader's pre-pass: a compact document's tables are pooled before it is
+# decoded, and the pooled text must decode to the same document.
+
+
+def _decoded(text: str):
+    """json.loads(text), or the type of the error it raises."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        return type(exc)
+
+
+def _unpooled(pooled: str, pool: list[tuple]):
+    """The pooled text decoded, with each placeholder ``[[i]]`` put back as pool[i]."""
+
+    def put_back(node: dict) -> dict:
+        if "table" in node:
+            node["table"] = [list(row) for row in pool[node["table"][0][0]]]
+        return node
+
+    return json.loads(pooled, object_hook=put_back)
+
+
+def pooled_is_exact(text: str) -> bool:
+    """Whether the text was pooled; asserts that the pooled text decodes as the text does.
+
+    Both decodes raise the same error type, or both succeed and the pooled
+    document, with its tables put back, equals the text's.
+    """
+    pooled, pool = reportio._pool_tables(text)
+    if pool is None:
+        assert pooled is text
+        return False
+    want, got = _decoded(text), _decoded(pooled)
+    if isinstance(want, type) or isinstance(got, type):
+        assert got is want
+    else:
+        assert _unpooled(pooled, pool) == want
+    return True
+
+
+def _outcome(text: str):
+    """survey_from_json(text), or the text of the error it raises."""
+    try:
+        return survey_from_json(text)
+    except (ParseError, QuasigroupError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def reads_as_without_pooling(text: str, monkeypatch) -> None:
+    """survey_from_json gives the same result or error with the pre-pass turned off."""
+    pooled = _outcome(text)
+    with monkeypatch.context() as patch:
+        patch.setattr(reportio, "_pool_tables", lambda text: (text, None))
+        assert _outcome(text) == pooled
+
+
+@pytest.fixture(scope="module")
+def compact_doc() -> str:
+    """The compact exhaustive:3 document, whose pool holds more than two squares."""
+    text = survey_to_json(run_survey(EX3))
+    assert len(reportio._pool_tables(text)[1]) > 2
+    return text
+
+
+@pytest.mark.parametrize("token", ["exhaustive:3", "random:7:seed=3:count=20"])
+def test_pooled_survey_documents_decode_to_the_same_document(token):
+    text = survey_to_json(run_survey(CorpusDescriptor.parse(token)))
+    assert pooled_is_exact(text)
+    assert survey_from_json(text) == reportio._read_survey(text, None)
+
+
+def test_every_fuzz_edit_of_a_compact_document_pools_exactly(compact_doc):
+    pooled = []
+    # edits in the head of the document, which holds its first certificates
+    _fuzz(lambda edited: pooled.append(pooled_is_exact(edited)), [compact_doc], 60, (), span=3000)
+    assert sum(pooled) >= 30
+
+
+def _at_first_table(text: str, key: str = '"table":', table: str | None = None, after: str = "") -> str:
+    """The text with its first table's key, table text, or what follows it changed."""
+    start = text.index('"table":')
+    stop = text.index("]]", start) + 2
+    old = text[start + len('"table":') : stop]
+    return text[:start] + key + (old if table is None else table) + after + text[stop:]
+
+
+# Edits of a compact document, each of which must fall back or stay exact.
+HAND_EDITS = {
+    "top-level table key": lambda text: '{"table":[[1]],' + text[1:],
+    "table as a value": lambda text: text.replace('"unit":"f"', '"unit":"table"', 1),
+    "spaced table key": lambda text: _at_first_table(text, '"table" :', "[[1]]"),
+    "escaped table key": lambda text: _at_first_table(text, '"tab\\u006ce":', "[[1]]"),
+    "key ending in an escaped quote": lambda text: _at_first_table(text, '"a\\"table":[[1]],"table":'),
+    "followed by .5": lambda text: _at_first_table(text, after=".5"),
+    "followed by e1": lambda text: _at_first_table(text, after="e1"),
+    "followed by a digit": lambda text: _at_first_table(text, after="1"),
+    "entry -1": lambda text: _at_first_table(text, table="[[-1]]"),
+    "entry 1000": lambda text: _at_first_table(text, table="[[1000]]"),
+    "entry 01": lambda text: _at_first_table(text, table="[[01]]"),
+    "entry 1.0": lambda text: _at_first_table(text, table="[[1.0]]"),
+    "entry true": lambda text: _at_first_table(text, table="[[true]]"),
+    "empty row": lambda text: _at_first_table(text, table="[[0],[]]"),
+    "empty table": lambda text: _at_first_table(text, table="[]"),
+    "one-cell table": lambda text: _at_first_table(text, table="[[1]]"),
+    "unclosed table": lambda text: text[: text.index("]]")],
+    "spaced separators": lambda text: json.dumps(json.loads(text)),
+}
+
+
+@pytest.mark.parametrize("edit", HAND_EDITS.values(), ids=HAND_EDITS.keys())
+def test_hand_edits_of_a_table_fall_back_or_stay_exact(edit, compact_doc, monkeypatch):
+    text = edit(compact_doc)
+    pooled_is_exact(text)
+    reads_as_without_pooling(text, monkeypatch)
+
+
+def test_a_table_nested_at_json_recursion_limit_fails_as_its_original(compact_doc, monkeypatch):
+    # the placeholder [[i]] has the table's depth, so the pooled text meets
+    # json's recursion limit exactly where the original does
+    low, high = 1, 1
+    while _decoded("[" * high + "]" * high) is not RecursionError:
+        low, high = high, 2 * high
+    while high - low > 1:  # the least nesting that fails, as called from here
+        mid = (low + high) // 2
+        if _decoded("[" * mid + "]" * mid) is RecursionError:
+            high = mid
+        else:
+            low = mid
+    decoded = set()
+    for depth in range(high - 10, high + 2):
+        deep = '{"deep":' + "[" * depth + '{"table":[[0,1],[1,0]]}' + "]" * depth + "," + compact_doc[1:]
+        pooled, pool = reportio._pool_tables(deep)
+        assert pool is not None
+        want, got = _decoded(deep), _decoded(pooled)
+        assert (want is RecursionError) == (got is RecursionError)
+        decoded.add(want is RecursionError)
+        reads_as_without_pooling(deep, monkeypatch)
+    assert decoded == {True, False}

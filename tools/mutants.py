@@ -96,6 +96,36 @@ MUTANTS = [
         "if case in ():",
     ),
     (
+        "_pool_tables: a text with a backslash is pooled",
+        "reportio.py",
+        'if "\\\\" in text:',
+        "if False:",
+    ),
+    (
+        "_pool_tables: a \"table\" not followed by ':' is pooled",
+        "reportio.py",
+        "if text.count('\"table\"') != len(rest):",
+        "if False:",
+    ),
+    (
+        "_pool_tables: a table is pooled without the canonical-form check",
+        "reportio.py",
+        "if not _CANONICAL_TABLE.fullmatch(table):",
+        "if False:",
+    ),
+    (
+        "_pool_tables: the placeholder is the bare index, two levels shallower than the table",
+        "reportio.py",
+        'out += (_TABLE_KEY, "[[", str(index), "]]", piece[end:])',
+        "out += (_TABLE_KEY, str(index), piece[end:])",
+    ),
+    (
+        "survey_from_json: a document nested past json's recursion limit is not caught",
+        "reportio.py",
+        "except (json.JSONDecodeError, RecursionError) as exc:",
+        "except json.JSONDecodeError as exc:",
+    ),
+    (
         "_unit_cell: left unit read at the right unit's cell",
         "survey.py",
         "return (u, x), x",
